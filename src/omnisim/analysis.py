@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelGeometry, Scene, channel_geometry, db_to_linear,
-                      friis_gain)
+from .channel import (ChannelGeometry, Scene, _direct_gains, _hop_gains,
+                      channel_geometry, db_to_linear)
 from .elements import Configuration, StateTable
 from .errors import SideUndefinedError, ValidationError
-from .geometry import PLANE_EPS, ElementLayout, Side
+from .geometry import ElementLayout, Side
 
-MASKED = 0
-REFLECTION_CELL = 1
-REFRACTION_CELL = -1
+# Points per pass of the field kernel.  Small enough that a pass's
+# (points, M, 3) temporaries (0.5 MB at M = 640) stay in cache and the
+# allocator reuses them, rather than returning them to the OS each pass.
+CHUNK_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ class CoverageGrid:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValidationError("grid must have at least one cell per axis")
+        if not all(math.isfinite(v) for v in (self.x0, self.x1, self.y0, self.y1)):
+            raise ValidationError("grid extents must be finite")
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValidationError("grid extents must satisfy x1 >= x0, y1 >= y0")
 
@@ -97,6 +100,36 @@ def _pattern_angles(step_deg: float) -> np.ndarray:
     return np.arange(-kmax, kmax + 1) * step_deg
 
 
+def _scattered(scene: Scene, layout: ElementLayout, table: StateTable,
+               config: Configuration, geometry: ChannelGeometry,
+               points: np.ndarray, sides: np.ndarray,
+               workers: int = 1) -> np.ndarray:
+    """(P, Nt) channel from each BS antenna through the panel to each point.
+
+    ``sides`` holds each point's side, +1 or -1 as from
+    :meth:`Scene.point_sides`.  Points go through in chunks of CHUNK_POINTS,
+    spread over ``workers`` threads; the result does not depend on either.
+    """
+    states = np.asarray(config.states)[None, :]
+    out = np.empty((len(points), geometry.num_antennas), dtype=complex)
+
+    def fill(start: int) -> None:
+        chunk = slice(start, start + CHUNK_POINTS)
+        side_index = (sides[chunk] < 0).astype(np.intp)
+        gamma = table.coefficient_matrix[side_index[:, None], states]
+        gains = _hop_gains(points[chunk], layout, scene)
+        out[chunk] = np.multiply(gamma, gains, out=gains) @ geometry.bs_to_element.T
+
+    starts = range(0, len(points), CHUNK_POINTS)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
+    else:
+        for start in starts:
+            fill(start)
+    return out
+
+
 def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
                   config: Configuration, side: Side, angles_deg: np.ndarray,
                   eval_radius: float = 100.0, cut: str = "azimuth",
@@ -104,11 +137,12 @@ def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalised scattered power at each probe angle.
 
-    Returns (power, valid): power is |sum_m incident_m Gamma_m g(p_m,probe)|^2
-    and valid flags probes that fell outside the panel plane.
+    Returns (power, valid): power is |sum_n h_n|^2, h being the scattered
+    channel from BS antenna n to the probe (element factor included), and
+    valid flags probes that fell outside the panel plane.
     """
-    if eval_radius <= 0:
-        raise ValidationError("eval_radius must be positive")
+    if not 0 < eval_radius < math.inf:
+        raise ValidationError("eval_radius must be positive and finite")
     if cut not in ("azimuth", "elevation"):
         raise ValidationError(f"unknown cut {cut!r}; expected azimuth or elevation")
     if geometry is None:
@@ -122,17 +156,11 @@ def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
     probes = (scene.panel.center[None, :]
               + eval_radius * (np.sin(theta)[:, None] * axis[None, :]
                                + np.cos(theta)[:, None] * normal_out[None, :]))
-    signed = (probes - scene.panel.center[None, :]) @ scene.panel.normal
-    valid = np.abs(signed) > PLANE_EPS
-    side_index = 0 if side is Side.REFLECTION else 1
-    gamma = table.coefficient_matrix[side_index, np.asarray(config.states)]  # (M,)
-    weights = geometry.incident_field * gamma
+    sides = scene.point_sides(probes)
+    valid = sides != 0
+    h = _scattered(scene, layout, table, config, geometry, probes[valid], sides[valid])
     power = np.zeros(len(theta))
-    if np.any(valid):
-        dist = np.linalg.norm(probes[valid][:, None, :]
-                              - layout.positions[None, :, :], axis=2)
-        field = friis_gain(dist, scene.wavelength) @ weights
-        power[valid] = np.abs(field) ** 2
+    power[valid] = np.abs(h.sum(axis=1)) ** 2
     return power, valid
 
 
@@ -155,91 +183,46 @@ def radiation_pattern(scene: Scene, layout: ElementLayout, table: StateTable,
     return PatternSweep(samples=samples, skipped=int(np.sum(~valid)))
 
 
-def _coverage_rows(scene: Scene, layout: ElementLayout, table: StateTable,
-                   config: Configuration, geometry: ChannelGeometry,
-                   points: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Spectral efficiency for a batch of virtual user positions."""
-    diff = points[:, None, :] - layout.positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    g2 = friis_gain(dist, scene.wavelength)
-    if scene.element_factor_q > 0:
-        cos = np.abs(diff @ scene.panel.normal) / dist
-        g2 = g2 * cos ** scene.element_factor_q
-    side_index = np.where(sides == REFLECTION_CELL, 0, 1)
-    gamma = table.coefficient_matrix[side_index[:, None],
-                                     np.asarray(config.states)[None, :]]
-    h = (gamma * g2) @ geometry.bs_to_element.T  # (cells, Nt)
-    if scene.direct_path:
-        on_bs_side = sides == REFLECTION_CELL
-        if np.any(on_bs_side):
-            d_direct = np.linalg.norm(points[on_bs_side][:, None, :]
-                                      - scene.bs_antennas[None, :, :], axis=2)
-            h[on_bs_side] += friis_gain(d_direct, scene.wavelength)
-    snr = scene.tx_power_w * np.sum(np.abs(h) ** 2, axis=1) / scene.noise_power_w
-    return np.log2(1.0 + snr)
-
-
 def coverage_map(scene: Scene, layout: ElementLayout, table: StateTable,
                  config: Configuration, grid: CoverageGrid,
                  workers: int = 1) -> CoverageMap:
     """Spectral efficiency of a virtual single-antenna user in every cell.
 
     Cell (ix, iy) sits at center + x*normal + y*u; cells within 1e-9 m of
-    the panel plane are masked with NaN.
+    the panel plane are masked with NaN.  Like ``sum_rate``, the map leaves
+    out the scene's antenna and LNA gains (:func:`snr_at` includes them).
     """
     config.validate_against(table, layout)
     geometry = channel_geometry(scene, layout)
-    normal = scene.panel.normal
-    u_axis = layout.u
-    xs, ys = grid.xs, grid.ys
-    side = np.zeros((grid.nx, grid.ny), dtype=np.int8)
-    for ix, x in enumerate(xs):
-        if abs(x) <= PLANE_EPS:
-            continue
-        same_side = math.copysign(1.0, x) == scene.bs_side_sign
-        side[ix, :] = REFLECTION_CELL if same_side else REFRACTION_CELL
+    xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    points = (scene.panel.center
+              + xs[..., None] * scene.panel.normal
+              + ys[..., None] * layout.u)
+    side = scene.point_sides(points)
+    live = side != 0
+    h = _scattered(scene, layout, table, config, geometry, points[live], side[live], workers)
+    if scene.direct_path:
+        h += _direct_gains(points[live], side[live], scene)
+    snr = scene.tx_power_w * np.sum(np.abs(h) ** 2, axis=1) / scene.noise_power_w
     values = np.full((grid.nx, grid.ny), np.nan)
-
-    def fill(ix: int) -> None:
-        if side[ix, 0] == MASKED:
-            return
-        points = (scene.panel.center[None, :]
-                  + xs[ix] * normal[None, :]
-                  + ys[:, None] * u_axis[None, :])
-        values[ix, :] = _coverage_rows(scene, layout, table, config, geometry,
-                                       points, side[ix, :])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(grid.nx)))
-    else:
-        for ix in range(grid.nx):
-            fill(ix)
+    values[live] = np.log2(1.0 + snr)
     return CoverageMap(grid=grid, values=values, side=side)
 
 
 def snr_at(scene: Scene, layout: ElementLayout, table: StateTable,
            config: Configuration, point) -> float:
     """Received SNR in dB at a point, folding the scene's antenna and LNA
-    gains into the chain."""
-    point = np.asarray(point, dtype=float)
-    if abs(scene.panel.signed_distance(point)) <= PLANE_EPS:
+    gains into the chain (which :func:`coverage_map` and ``sum_rate`` leave
+    out)."""
+    points = np.asarray(point, dtype=float)[None, :]
+    sides = scene.point_sides(points)
+    if sides[0] == 0:
         raise SideUndefinedError("SNR undefined for a point in the panel plane")
     config.validate_against(table, layout)
     geometry = channel_geometry(scene, layout)
-    side = scene.side_of_point(point)
-    diff = point[None, :] - layout.positions
-    dist = np.linalg.norm(diff, axis=1)
-    g2 = friis_gain(dist, scene.wavelength)
-    if scene.element_factor_q > 0:
-        cos = np.abs(diff @ scene.panel.normal) / dist
-        g2 = g2 * cos ** scene.element_factor_q
-    side_index = 0 if side is Side.REFLECTION else 1
-    gamma = table.coefficient_matrix[side_index, np.asarray(config.states)]
-    h = geometry.bs_to_element @ (gamma * g2)  # (Nt,)
-    if scene.direct_path and side is Side.REFLECTION:
-        d_direct = np.linalg.norm(scene.bs_antennas - point[None, :], axis=1)
-        h = h + friis_gain(d_direct, scene.wavelength)
+    h = _scattered(scene, layout, table, config, geometry, points, sides)
+    if scene.direct_path:
+        h += _direct_gains(points, sides, scene)
     chain_gain = db_to_linear(scene.tx_gain_db + scene.rx_gain_db
                               + scene.lna_gain_db)
     snr = (scene.tx_power_w * float(np.sum(np.abs(h) ** 2)) * chain_gain

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .elements import Configuration, StateTable
-from .errors import InvalidSceneError, SideUndefinedError, ValidationError
-from .geometry import PLANE_EPS, ElementLayout, PanelSpec, Side
+from .errors import InvalidSceneError, ValidationError
+from .geometry import ElementLayout, PanelSpec, Side, side_of
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -71,18 +71,17 @@ class Scene:
                 raise ValidationError(f"{name} must be a non-empty list of [x, y, z]")
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} must have finite coordinates")
-        bs_signs = set()
-        for p in bs:
-            d = self.panel.signed_distance(p)
-            if abs(d) <= PLANE_EPS:
-                raise InvalidSceneError(f"BS antenna {p.tolist()} lies in the panel plane")
-            bs_signs.add(d > 0)
-        if len(bs_signs) > 1:
+        sides = self.panel.plane_side(np.concatenate([bs, users]))
+        bs_sides, user_sides = sides[:len(bs)], sides[len(bs):]
+        if not bs_sides.all():
+            raise InvalidSceneError(
+                f"BS antenna {bs[bs_sides == 0][0].tolist()} lies in the panel plane")
+        if (bs_sides != bs_sides[0]).any():
             raise InvalidSceneError(
                 "BS antennas straddle the panel; all must share one side")
-        for p in users:
-            if abs(self.panel.signed_distance(p)) <= PLANE_EPS:
-                raise InvalidSceneError(f"user {p.tolist()} lies in the panel plane")
+        if not user_sides.all():
+            raise InvalidSceneError(
+                f"user {users[user_sides == 0][0].tolist()} lies in the panel plane")
         bs.setflags(write=False)
         users.setflags(write=False)
         object.__setattr__(self, "bs_antennas", bs)
@@ -109,15 +108,17 @@ class Scene:
         return dbm_to_watts(noise_power(self.bandwidth_hz, self.noise_figure_db))
 
     @cached_property
-    def bs_side_sign(self) -> float:
+    def bs_side_sign(self) -> int:
         """Sign of the BS half-space; +1 along the panel normal."""
-        return math.copysign(1.0, self.panel.signed_distance(self.bs_antennas[0]))
+        return int(self.panel.plane_side(self.bs_antennas[0]))
+
+    def point_sides(self, points) -> np.ndarray:
+        """+1 on the BS (reflection) side, -1 on the refraction side, 0 in
+        the panel plane, for each point of a (..., 3) array."""
+        return self.panel.plane_side(points) * self.bs_side_sign
 
     def side_of_point(self, point) -> Side:
-        d = self.panel.signed_distance(point)
-        if abs(d) <= PLANE_EPS:
-            raise SideUndefinedError("point lies in the panel plane")
-        return Side.REFLECTION if d * self.bs_side_sign > 0 else Side.REFRACTION
+        return side_of(self.panel, self.bs_antennas[0], point)
 
 
 def friis_gain(distance, wavelength: float):
@@ -128,8 +129,12 @@ def friis_gain(distance, wavelength: float):
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0):
         raise ValidationError("friis_gain requires positive distance")
-    amp = wavelength / (4.0 * math.pi * d)
-    out = amp * np.exp(-2j * math.pi * d / wavelength)
+    # amp * exp(-2j pi d / lambda), in place and in that operation order:
+    # a large batch allocates one complex array, not five
+    out = np.multiply(-2j * math.pi, d, out=np.empty(d.shape, dtype=complex))
+    out /= wavelength
+    np.exp(out, out=out)
+    np.multiply(wavelength / (4.0 * math.pi * d), out, out=out)
     return complex(out) if np.isscalar(distance) else out
 
 
@@ -205,21 +210,38 @@ class ChannelMatrix:
         return self.entries.shape[1]
 
 
-def _element_factor(cos_angles: np.ndarray, q: float) -> np.ndarray:
-    return np.ones_like(cos_angles) if q == 0.0 else cos_angles ** q
-
-
 def _hop_gains(points: np.ndarray, layout: ElementLayout, scene: Scene) -> np.ndarray:
-    """Free-space gains between each point (rows) and each element (cols)."""
+    """Free-space gains between each point (rows) and each element (cols),
+    times the cos^q element factor toward the point.
+
+    The only element -> point hop: the channel, coverage map, pattern and
+    point SNR all go through it.
+    """
     diff = points[:, None, :] - layout.positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    if scene.element_factor_q > 0:
+        along_normal = np.abs(diff @ scene.panel.normal)
+    # |diff| in place, as np.linalg.norm computes it: the (P, M, 3) array is
+    # the largest temporary, so it is freed before the Friis gains exist
+    diff *= diff
+    dist = diff.sum(axis=2)
+    del diff
+    np.sqrt(dist, out=dist)
     if np.any(dist <= 0):
         raise ValidationError("a terminal coincides with an element position")
     gains = friis_gain(dist, scene.wavelength)
     if scene.element_factor_q > 0:
-        cos = np.abs(diff @ scene.panel.normal) / dist
-        gains = gains * _element_factor(cos, scene.element_factor_q)
+        gains *= (along_normal / dist) ** scene.element_factor_q
     return gains
+
+
+def _direct_gains(points: np.ndarray, sides: np.ndarray, scene: Scene) -> np.ndarray:
+    """(P, Nt) free-space gains of the direct BS -> point path; zero for
+    points off the BS side (``sides`` as from :meth:`Scene.point_sides`)."""
+    direct = np.zeros((len(points), scene.num_antennas), dtype=complex)
+    seen = sides > 0
+    dist = np.linalg.norm(points[seen][:, None, :] - scene.bs_antennas[None, :, :], axis=2)
+    direct[seen] = friis_gain(dist, scene.wavelength)
+    return direct
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,11 +276,6 @@ class ChannelGeometry:
     def num_elements(self) -> int:
         return self.bs_to_element.shape[1]
 
-    @cached_property
-    def incident_field(self) -> np.ndarray:
-        """(M,) total incident field at each element, summed over BS antennas."""
-        return self.bs_to_element.sum(axis=0)
-
 
 def channel_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
     """Precompute the geometry-only channel factors for a scene."""
@@ -277,22 +294,12 @@ def channel_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
         bs_to_element = np.exp(-1j * k * (directions @ rel.T))
     else:
         bs_to_element = _hop_gains(scene.bs_antennas, layout, scene)
-    element_to_user = _hop_gains(scene.users, layout, scene)
-    user_side_index = np.array(
-        [0 if scene.side_of_point(u) is Side.REFLECTION else 1 for u in scene.users],
-        dtype=np.int64,
-    )
-    direct = None
-    if scene.direct_path:
-        direct = np.zeros((scene.num_users, scene.num_antennas), dtype=complex)
-        for i, u in enumerate(scene.users):
-            if user_side_index[i] == 0:  # only reflection-side users see the BS
-                dist = np.linalg.norm(scene.bs_antennas - u[None, :], axis=1)
-                direct[i, :] = friis_gain(dist, scene.wavelength)
-    return ChannelGeometry(bs_to_element=bs_to_element,
-                           element_to_user=element_to_user,
-                           user_side_index=user_side_index,
-                           direct=direct)
+    sides = scene.point_sides(scene.users)
+    return ChannelGeometry(
+        bs_to_element=bs_to_element,
+        element_to_user=_hop_gains(scene.users, layout, scene),
+        user_side_index=(sides < 0).astype(np.int64),
+        direct=_direct_gains(scene.users, sides, scene) if scene.direct_path else None)
 
 
 @dataclass(frozen=True)

@@ -331,9 +331,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _emit_error("numerical", exc)
         return EXIT_NUMERICAL
-    except ValidationError as exc:
-        _emit_error("validation", exc)
-        return EXIT_VALIDATION
     except OmnisimError as exc:
         _emit_error("validation", exc)
         return EXIT_VALIDATION

@@ -116,8 +116,12 @@ class PanelSpec:
         v = unit(np.cross(n, u))
         return u, v
 
-    def signed_distance(self, point) -> float:
-        return float(np.dot(np.asarray(point, dtype=float) - self.center, self.normal))
+    def plane_side(self, points) -> np.ndarray:
+        """Side of the panel plane for each point of a (..., 3) array: +1
+        along the normal, -1 against it, 0 within PLANE_EPS of the plane or
+        NaN."""
+        d = (np.asarray(points, dtype=float) - self.center) @ self.normal
+        return (d > PLANE_EPS).astype(np.int8) - (d < -PLANE_EPS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,15 +172,14 @@ def build_layout(spec: PanelSpec) -> ElementLayout:
 
 def side_of(spec: PanelSpec, bs_position, point) -> Side:
     """Classify ``point`` as REFLECTION (BS half-space) or REFRACTION."""
-    d_bs = spec.signed_distance(bs_position)
-    if abs(d_bs) <= PLANE_EPS:
+    bs_side, point_side = spec.plane_side(np.array([bs_position, point], dtype=float))
+    if bs_side == 0:
         raise InvalidSceneError("BS lies in the panel plane; scene is invalid")
-    d_pt = spec.signed_distance(point)
-    if abs(d_pt) <= PLANE_EPS:
+    if point_side == 0:
         raise SideUndefinedError(
             f"point {np.asarray(point, dtype=float).tolist()} lies in the panel plane"
         )
-    return Side.REFLECTION if (d_pt > 0) == (d_bs > 0) else Side.REFRACTION
+    return Side.REFLECTION if point_side == bs_side else Side.REFRACTION
 
 
 def specular_direction(incident_dir, normal) -> Vec3:

@@ -6,8 +6,8 @@ import pytest
 
 from omnisim import (CoefficientPair, Configuration, CoverageGrid, PanelSpec,
                      Scene, Side, SideUndefinedError, StateTable,
-                     ValidationError, build_layout, coverage_map,
-                     quantize_phase, radiation_pattern, snr_at)
+                     ValidationError, build_layout, cascaded_channel,
+                     coverage_map, quantize_phase, radiation_pattern, snr_at)
 from omnisim.analysis import _pattern_angles, pattern_power
 from omnisim.scene_io import parse_scene_dict
 
@@ -99,6 +99,28 @@ class TestRadiationPattern:
                                   Side.REFLECTION, step_deg=1.0)
         within = [s.power_db for s in sweep if abs(s.angle_deg) <= 60.0]
         assert max(within) - min(within) < 0.1
+
+    def test_element_factor_applies_on_probe_hop(self):
+        panel = PanelSpec(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1,
+                          cols=1, dx=0.04, dy=0.04, group_rows=1,
+                          group_cols=1)
+        layout = build_layout(panel)
+        table = StateTable(states=(CoefficientPair(0.5, 0.3, 0.5, 1.2),))
+        scene = Scene(frequency_hz=3.6e9, panel=panel,
+                      bs_antennas=np.array([[0.0, 0.0, 1.5]]),
+                      users=np.array([[0.2, 0.0, -1.0]]),
+                      tx_power_dbm=0.0, bandwidth_hz=1e6,
+                      element_factor_q=2.0)
+        for side in Side:
+            sweep = radiation_pattern(scene, layout, table,
+                                      Configuration.uniform(1, 0), side,
+                                      step_deg=15.0)
+            angles = np.array([s.angle_deg for s in sweep])
+            power_db = np.array([s.power_db for s in sweep])
+            assert len(angles) == 11
+            # cos^2 on the amplitude of the probe hop is cos^4 in power
+            expected = 40.0 * np.log10(np.cos(np.deg2rad(angles)))
+            assert np.allclose(power_db, expected, rtol=0.0, atol=1e-9)
 
     def test_steered_configs_peak_apart(self, prototype, prototype_layout):
         """Stand-in for the measured two-configuration sweeps: distinct
@@ -245,3 +267,54 @@ class TestSnrAt:
         value = snr_at(scene, layout, table, Configuration.uniform(1, 0),
                        [0.4, 0.0, 0.9])
         assert value == float("-inf")
+
+
+class TestAnalysisMatchesChannel:
+    """Point SNR, the coverage map and the cascaded channel share one
+    element -> point kernel, so a one-user scene at a point gives the same
+    SNR as the analysis functions there."""
+
+    PANEL = PanelSpec(center=[0, 0, 0], normal=[0, 0, 1.0], rows=2, cols=4,
+                      dx=0.04, dy=0.04, group_rows=2, group_cols=2)
+    TABLE = StateTable(states=(CoefficientPair(0.46, 0.35, 0.58, 5.24),
+                               CoefficientPair(0.55, 3.75, 0.81, 2.15)))
+    CONFIG = Configuration(states=(0, 1, 1, 0, 1, 0, 0, 1))
+
+    def scene_at(self, point):
+        return Scene(frequency_hz=3.6e9, panel=self.PANEL,
+                     bs_antennas=np.array([[0.3, 0.1, 1.4], [-0.2, 0.0, 1.2]]),
+                     users=np.array([point]), tx_power_dbm=20.0,
+                     bandwidth_hz=1e6, noise_figure_db=5.0, tx_gain_db=4.0,
+                     rx_gain_db=2.0, lna_gain_db=11.0, direct_path=True,
+                     element_factor_q=2.0)
+
+    def channel_snr(self, point):
+        """Linear SNR of a one-user scene at ``point``, without the antenna
+        and LNA gains."""
+        scene = self.scene_at(point)
+        entries = cascaded_channel(scene, build_layout(self.PANEL),
+                                   self.TABLE, self.CONFIG).entries
+        return (scene.tx_power_w * float(np.sum(np.abs(entries) ** 2))
+                / scene.noise_power_w)
+
+    @pytest.mark.parametrize("point", [[0.4, 0.2, -0.9], [-0.3, 0.1, 1.0],
+                                       [1.5, -0.7, 0.05], [0.0, 0.0, -2.5]])
+    def test_snr_at_matches_cascaded_channel(self, point):
+        scene = self.scene_at(point)
+        chain_db = scene.tx_gain_db + scene.rx_gain_db + scene.lna_gain_db
+        expected = 10.0 * math.log10(self.channel_snr(point)) + chain_db
+        got = snr_at(scene, build_layout(self.PANEL), self.TABLE,
+                     self.CONFIG, point)
+        assert got == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_coverage_cells_match_cascaded_channel(self):
+        grid = CoverageGrid(x0=-1.0, x1=1.0, y0=-0.6, y1=0.6, nx=5, ny=4)
+        scene = self.scene_at([0.4, 0.2, -0.9])
+        layout = build_layout(self.PANEL)
+        cmap = coverage_map(scene, layout, self.TABLE, self.CONFIG, grid)
+        for ix, iy in ((0, 1), (4, 2), (1, 3)):  # both sides of the panel
+            point = (self.PANEL.center + grid.xs[ix] * self.PANEL.normal
+                     + grid.ys[iy] * layout.u)
+            expected = math.log2(1.0 + self.channel_snr(point))
+            assert cmap.values[ix, iy] == pytest.approx(expected, rel=1e-12)
+        assert {int(s) for s in cmap.side[[0, 4], 0]} == {1, -1}

@@ -150,6 +150,16 @@ class TestPattern:
         rows = out_path.read_text().splitlines()[1:]
         assert rows and all(row.endswith(",reflection") for row in rows)
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0"])
+    def test_bad_radius_is_validation_error(self, capsys, tmp_path, radius):
+        out_path = tmp_path / "pattern.csv"
+        code, _, err = run_cli(capsys, "pattern",
+                               "--config", prototype_scene_path(),
+                               "--radius-m", radius, "--out", str(out_path))
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+        assert not out_path.exists()
+
 
 class TestCoverage:
     def test_csv_pgm_and_determinism(self, capsys, tmp_path):
@@ -174,12 +184,15 @@ class TestCoverage:
         assert len(artifacts[0][1]) == len(b"P5\n9 5\n255\n") + 9 * 5
 
     def test_bad_grid_is_validation_error(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "coverage",
-                               "--config", prototype_scene_path(),
-                               "--grid=1,2,3",
-                               "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "validation"
+        for grid in ("1,2,3", "nan,2,-2,2,3,3", "-2,inf,-2,2,3,3"):
+            out_path = tmp_path / "x.csv"
+            code, _, err = run_cli(capsys, "coverage",
+                                   "--config", prototype_scene_path(),
+                                   f"--grid={grid}",
+                                   "--out", str(out_path))
+            assert code == 2, grid
+            assert json.loads(err)["error"]["type"] == "validation"
+            assert not out_path.exists()
 
 
 class TestOracle:

@@ -117,6 +117,12 @@ class TestSideOf:
             moved = point + np.array([0.0, 0.0, sign * travel])
             assert side_of(spec, bs, point) is side_of(spec, bs, moved)
 
+    def test_plane_side_is_vectorized(self):
+        points = np.array([[0.3, 0.2, 0.7], [0.3, 0.2, -0.7],
+                           [0.3, 0.2, 0.0], [0.3, 0.2, 5e-10]])
+        assert self.spec.plane_side(points).tolist() == [1, -1, 0, 0]
+        assert self.spec.plane_side(points[1]) == -1
+
     def test_flipping_normal_preserves_classification(self):
         flipped = PanelSpec(center=[0, 0, 0], normal=-UNIT_Z, rows=2, cols=2,
                             dx=1, dy=1, group_rows=1, group_cols=1)
