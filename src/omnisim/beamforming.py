@@ -2,23 +2,22 @@
 optimization of the panel configuration.
 
 The digital precoder is the channel pseudo-inverse with unit-norm columns
-and equal per-stream power.  Configuration search is deliberately shared
-between the greedy sweep and the exhaustive oracle: both call the same
-objective with the same cached geometry, so "exhaustive >= greedy" holds
-exactly, not just statistically.
+and equal per-stream power.  ``sum_rate`` and every optimizer score
+candidates in batches through one kernel (``ChannelKernel`` plus
+:func:`_zero_forcing`) whose result for a candidate does not depend on its
+batch, so "exhaustive >= greedy" holds exactly, not just statistically.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelGeometry, ChannelMatrix, FadingModel,
-                      FadingRealization, Scene, assemble_entries,
-                      channel_geometry, draw_realizations)
+from .channel import (ChannelGeometry, ChannelKernel, ChannelMatrix, FadingModel,
+                      FadingRealization, Scene, channel_geometry,
+                      draw_realizations, ordered_sum)
 from .elements import Configuration, Granularity, StateTable
 from .errors import (RankDeficientChannelError, SearchSpaceError,
                      TooManyUsersError, ValidationError)
@@ -26,6 +25,10 @@ from .geometry import ElementLayout, Side
 
 CONDITION_LIMIT = 1e12
 EXHAUSTIVE_GUARD = 2 ** 20
+BOUND_SLACK = 1e-12
+# Candidates per kernel call in exhaustive and random search; bounds the
+# temporaries (README: how a configuration is scored).
+BATCH = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,57 +47,51 @@ class BeamformerResult:
                             np.sum(np.abs(self.precoder) ** 2, axis=0)))
 
 
-def _reject_condition(cond: float) -> None:
-    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
-        raise RankDeficientChannelError(
-            f"channel Gram matrix condition number {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}"
-        )
+def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
+    """ZF of a (..., K, Nt) stack: (rates (..., K), sum rate, Gram condition
+    number, degenerate mask), each over the stack axes.
 
-
-def _zf_core(H: np.ndarray, total_power_w: float,
-             noise_power_w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared ZF arithmetic: returns (raw pseudo-inverse, norms, rates).
-
-    K <= 2 uses closed-form Hermitian eigenvalues/inverse (the optimizer hot
-    path); larger systems go through LAPACK.  The condition guard has the
-    same meaning on every branch.
+    Stream k's SINR is (P / K) / (N [(H H^H)^-1]_kk).  K <= 2 uses the
+    closed-form Hermitian eigenvalues and inverse, larger K stacked LAPACK.
+    A channel whose condition number is not below ``CONDITION_LIMIT``, or
+    whose rates are not finite, is degenerate and scores 0.  The work runs on
+    ``H.T`` so that antennas and users are summed by :func:`ordered_sum`.
     """
-    k_users, n_antennas = H.shape
+    k_users, n_antennas = H.shape[-2:]
     if k_users > n_antennas:
         raise TooManyUsersError(
             f"too many users for ZF: K={k_users} > Nt={n_antennas}"
         )
-    herm = H.conj().T
-    gram = H @ herm
-    if k_users == 1:
-        a = gram[0, 0].real
-        _reject_condition(1.0 if a > 0 else math.inf)
-        raw = herm / a
-    elif k_users == 2:
-        a, c = gram[0, 0].real, gram[1, 1].real
-        b = gram[0, 1]
-        half_gap = math.hypot(0.5 * (a - c), abs(b))
-        eig_max = 0.5 * (a + c) + half_gap
-        eig_min = 0.5 * (a + c) - half_gap
-        _reject_condition(eig_max / eig_min if eig_min > 0 else math.inf)
-        det = eig_max * eig_min
-        inv = np.array([[c / det, -b / det],
-                        [-b.conjugate() / det, a / det]])
-        raw = herm @ inv
-    else:
-        cond = np.linalg.cond(gram)
-        _reject_condition(cond)
-        try:
-            raw = herm @ np.linalg.inv(gram)  # (Nt, K), H @ raw = I
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficientChannelError(str(exc)) from exc
-    norms = np.sqrt(np.sum(np.abs(raw) ** 2, axis=0))
-    if np.any(norms == 0):
-        raise RankDeficientChannelError("pseudo-inverse produced a zero column")
-    sinr = (total_power_w / k_users) / (noise_power_w * norms ** 2)
-    rates = np.log2(1.0 + sinr)
-    return raw, norms, rates
+    Ht = H.T  # (Nt, K, ...) with the stack axes reversed
+    gram = ordered_sum(Ht[:, :, None] * Ht.conj()[:, None, :])  # (K, K, ...)
+    users = np.arange(k_users)
+    diag = gram[users, users].real
+    with np.errstate(all="ignore"):  # degenerate channels are masked below
+        if k_users == 1:
+            cond = np.where(diag[0] > 0, 1.0, np.inf)
+            inverse_diag = 1.0 / diag
+        elif k_users == 2:
+            a, c = diag
+            half_gap = np.hypot(0.5 * (a - c), np.abs(gram[0, 1]))
+            eig_max = 0.5 * (a + c) + half_gap
+            eig_min = 0.5 * (a + c) - half_gap
+            cond = np.where(eig_min > 0, eig_max / eig_min, np.inf)
+            inverse_diag = diag[::-1] / (eig_max * eig_min)
+        else:
+            eye = np.eye(k_users)
+            stack = np.moveaxis(gram, (0, 1), (-2, -1))
+            finite = np.isfinite(stack).all(axis=(-2, -1))
+            cond = np.where(finite, np.linalg.cond(
+                np.where(finite[..., None, None], stack, eye)), np.inf)
+            inverse = np.linalg.inv(
+                np.where((cond < CONDITION_LIMIT)[..., None, None], stack, eye))
+            inverse_diag = np.moveaxis(inverse[..., users, users].real, -1, 0)
+        rates = np.log2(1.0 + (total_power_w / k_users) / (noise_power_w * inverse_diag))
+    total = ordered_sum(rates)
+    degenerate = ~((cond < CONDITION_LIMIT) & np.isfinite(total))
+    rates[:, degenerate] = 0.0
+    total[degenerate] = 0.0
+    return rates.T, total.T, cond.T, degenerate.T
 
 
 def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> BeamformerResult:
@@ -107,11 +104,18 @@ def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> Beamform
         np.atleast_2d(np.asarray(channel, dtype=complex))
     if not (total_power_w > 0 and noise_power_w > 0):
         raise ValidationError("total power and noise power must be positive")
-    raw, norms, rates = _zf_core(H, total_power_w, noise_power_w)
-    precoder = raw / norms[None, :]
+    rates, total, cond, degenerate = _zero_forcing(H[None], total_power_w,
+                                                   noise_power_w)
+    if degenerate[0]:
+        raise RankDeficientChannelError(
+            f"channel Gram matrix condition number {cond[0]:.3e} exceeds "
+            f"{CONDITION_LIMIT:.0e}, or its pseudo-inverse has a zero column")
+    herm = H.conj().T
+    raw = herm @ np.linalg.inv(H @ herm)  # (Nt, K), H @ raw = I
+    norms = np.sqrt(np.sum(np.abs(raw) ** 2, axis=0))
     power = np.full(H.shape[0], total_power_w / H.shape[0])
-    return BeamformerResult(precoder=precoder, power_allocation=power,
-                            per_user_rate=rates, sum_rate=float(np.sum(rates)),
+    return BeamformerResult(precoder=raw / norms[None, :], power_allocation=power,
+                            per_user_rate=rates[0], sum_rate=float(total[0]),
                             column_norms=norms)
 
 
@@ -124,22 +128,6 @@ class RateResult:
     degenerate: bool
 
 
-def _states_rates(geometry: ChannelGeometry, coefficient_matrix: np.ndarray,
-                  states: np.ndarray, total_power_w: float,
-                  noise_power_w: float,
-                  fading: FadingRealization | None = None) -> RateResult:
-    """Rates for a raw per-element state array; rank failures map to rate 0."""
-    H = assemble_entries(geometry, coefficient_matrix, states, fading=fading)
-    try:
-        _, _, rates = _zf_core(H, total_power_w, noise_power_w)
-    except RankDeficientChannelError:
-        return RateResult(sum_rate=0.0,
-                          per_user_rate=np.zeros(geometry.num_users),
-                          degenerate=True)
-    return RateResult(sum_rate=float(np.sum(rates)), per_user_rate=rates,
-                      degenerate=False)
-
-
 def evaluate_rates(scene: Scene, layout: ElementLayout, table: StateTable,
                    config: Configuration, *,
                    geometry: ChannelGeometry | None = None,
@@ -148,9 +136,12 @@ def evaluate_rates(scene: Scene, layout: ElementLayout, table: StateTable,
     if geometry is None:
         geometry = channel_geometry(scene, layout)
     config.validate_against(table, layout)
-    return _states_rates(geometry, table.coefficient_matrix,
-                         np.asarray(config.states), scene.tx_power_w,
-                         scene.noise_power_w, fading=fading)
+    kernel = ChannelKernel(geometry, table.coefficient_matrix, fading)
+    H = kernel.channels(kernel.element_partials(np.asarray(config.states)[None]))
+    rates, total, _, degenerate = _zero_forcing(H, scene.tx_power_w,
+                                                scene.noise_power_w)
+    return RateResult(sum_rate=float(total[0]), per_user_rate=rates[0],
+                      degenerate=bool(degenerate[0]))
 
 
 def sum_rate(scene: Scene, layout: ElementLayout, table: StateTable,
@@ -161,64 +152,89 @@ def sum_rate(scene: Scene, layout: ElementLayout, table: StateTable,
 
 @dataclass(frozen=True, eq=False)
 class OptimizationOutcome:
-    """Chosen configuration with its objective, per-sweep trace and eval count."""
+    """Chosen configuration with its objective, per-sweep trace, evaluation
+    count and how many of those evaluations met a rank-deficient channel."""
 
     config: Configuration
     objective: float
     trace: tuple[tuple[int, float], ...]
     evaluations: int
+    degenerate_evaluations: int = 0
 
 
 class _UnitProblem:
-    """Shared machinery: per-unit states expanded to per-element state
-    arrays, evaluated against one cached channel geometry.
-
-    Every optimizer evaluates candidates through :meth:`objective`, which is
-    arithmetically identical to the public ``sum_rate`` path, so objectives
-    reported by different optimizers are exactly comparable.
+    """Shared machinery: (B, units) arrays of candidate unit states, scored
+    by :meth:`score` against one cached geometry, exactly as ``sum_rate``
+    scores them.  Under fading a candidate's objective is the ``math.fsum``
+    average over the realizations, and it is degenerate if any channel is.
     """
 
     def __init__(self, scene: Scene, layout: ElementLayout, table: StateTable,
                  granularity: Granularity):
-        self.scene = scene
         self.layout = layout
-        self.table = table
         self.granularity = granularity
         self.geometry = channel_geometry(scene, layout)
+        self.powers = (scene.tx_power_w, scene.noise_power_w)
         self.coefficients = table.coefficient_matrix
         self.num_states = table.num_states
         if granularity is Granularity.GROUP:
             self.num_units = layout.num_groups
         else:
             self.num_units = layout.num_elements
+            # each element's position among its group's members
+            members = self.geometry.group_members
+            self.position = np.empty(layout.num_elements, dtype=np.int64)
+            self.position[members] = np.arange(members.shape[1])
         self.evaluations = 0
+        self.degenerate_evaluations = 0
+        self.kernel = ChannelKernel(self.geometry, self.coefficients)
 
-    def expand(self, unit_states) -> np.ndarray:
-        states = np.asarray(unit_states, dtype=np.int64)
-        if self.granularity is Granularity.GROUP:
-            return states[self.layout.group_of]
-        return states
-
-    def to_config(self, unit_states) -> Configuration:
-        if self.granularity is Granularity.GROUP:
-            return Configuration.from_group_states(self.layout, unit_states)
-        return Configuration(states=tuple(unit_states))
-
-    def objective(self, unit_states,
-                  realizations: list[FadingRealization] | None = None) -> float:
-        self.evaluations += 1
-        states = self.expand(unit_states)
+    def kernel_for(self, realizations) -> ChannelKernel:
         if realizations is None:
-            return _states_rates(self.geometry, self.coefficients, states,
-                                 self.scene.tx_power_w,
-                                 self.scene.noise_power_w).sum_rate
-        total = math.fsum(
-            _states_rates(self.geometry, self.coefficients, states,
-                          self.scene.tx_power_w, self.scene.noise_power_w,
-                          fading=r).sum_rate
-            for r in realizations
-        )
-        return total / len(realizations)
+            return self.kernel
+        return ChannelKernel(self.geometry, self.coefficients, realizations)
+
+    def partials(self, kernel: ChannelKernel, unit_states: np.ndarray) -> np.ndarray:
+        """(G, B, ...) group partials for (B, units) candidate states."""
+        if self.granularity is Granularity.GROUP:
+            return kernel.group_state_partials(unit_states)
+        return kernel.element_partials(unit_states)
+
+    def unit_partials(self, kernel: ChannelKernel, states: np.ndarray, unit: int,
+                      candidates: np.ndarray) -> tuple[int, np.ndarray]:
+        """(group, partials) of the one group that changes when ``unit`` of
+        ``states`` takes each of ``candidates``; only that group is recomputed."""
+        if self.granularity is Granularity.GROUP:
+            return unit, kernel.state_tables[unit][candidates]
+        group = int(self.layout.group_of[unit])
+        member_states = np.repeat(states[None, kernel.members[group]],
+                                  len(candidates), axis=0)
+        member_states[:, self.position[unit]] = candidates
+        return group, kernel.partials(member_states[:, None], slice(group, group + 1))[0]
+
+    def score(self, kernel: ChannelKernel, partials: np.ndarray) -> np.ndarray:
+        """(B,) objectives of the candidates with (G, B, ...) group partials."""
+        _, total, _, degenerate = _zero_forcing(kernel.channels(partials), *self.powers)
+        self.evaluations += len(degenerate)
+        if not kernel.realization_axis:
+            self.degenerate_evaluations += int(np.count_nonzero(degenerate))
+            return total
+        self.degenerate_evaluations += int(np.count_nonzero(degenerate.any(axis=1)))
+        return np.array([math.fsum(rates) / len(rates) for rates in total.tolist()])
+
+    def objective(self, unit_states, realizations=None) -> float:
+        kernel = self.kernel_for(realizations)
+        states = np.asarray(unit_states, dtype=np.int64)[None]
+        return float(self.score(kernel, self.partials(kernel, states))[0])
+
+    def outcome(self, unit_states, objective: float, trace) -> OptimizationOutcome:
+        if self.granularity is Granularity.GROUP:
+            config = Configuration.from_group_states(self.layout, unit_states)
+        else:
+            config = Configuration(states=tuple(unit_states))
+        return OptimizationOutcome(config=config, objective=objective, trace=tuple(trace),
+                                   evaluations=self.evaluations,
+                                   degenerate_evaluations=self.degenerate_evaluations)
 
 
 def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int, epsilon: float,
@@ -226,32 +242,38 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int, epsilon: float,
     """One-at-a-time coordinate ascent over unit states.
 
     Each unit keeps its current state on ties; among strictly better states
-    the lowest index wins.  Returns (unit_states, trace).
+    the lowest index wins.  A unit's other states are scored as one batch.
+    Returns (unit_states, trace).
     """
     if max_sweeps < 1:
         raise ValidationError("max_sweeps must be at least 1")
-    states = [0] * problem.num_units
-    current = problem.objective(states, realizations)
+    kernel = problem.kernel_for(realizations)
+    states = np.zeros(problem.num_units, dtype=np.int64)
+    partials = problem.partials(kernel, states[None])  # (G, 1, ...)
+    current = float(problem.score(kernel, partials)[0])
     trace = [(0, current)]
+    others = [np.delete(np.arange(problem.num_states), s)
+              for s in range(problem.num_states)]
     for sweep in range(1, max_sweeps + 1):
         before = current
         for unit in range(problem.num_units):
-            held = states[unit]
-            best_state, best_value = held, current
-            for s in range(problem.num_states):
-                if s == held:
-                    continue
-                states[unit] = s
-                value = problem.objective(states, realizations)
-                if value > best_value:
-                    best_state, best_value = s, value
-            states[unit] = best_state
-            current = best_value
+            candidates = others[states[unit]]
+            if not len(candidates):
+                continue
+            group, changed = problem.unit_partials(kernel, states, unit, candidates)
+            trial = np.repeat(partials, len(candidates), axis=1)
+            trial[group] = changed
+            values = problem.score(kernel, trial)
+            best = int(np.argmax(values))
+            if values[best] > current:
+                states[unit] = candidates[best]
+                current = float(values[best])
+                partials[group] = changed[best]
         trace.append((sweep, current))
         improvement = (current - before) / max(abs(before), 1e-30)
         if improvement < epsilon:
             break
-    return states, trace
+    return states.tolist(), trace
 
 
 def greedy_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
@@ -261,17 +283,16 @@ def greedy_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     """Coordinate-ascent sweeps over unit states, starting from all zeros."""
     problem = _UnitProblem(scene, layout, table, granularity)
     states, trace = _greedy_sweeps(problem, max_sweeps, epsilon)
-    return OptimizationOutcome(config=problem.to_config(states),
-                               objective=trace[-1][1],
-                               trace=tuple(trace),
-                               evaluations=problem.evaluations)
+    return problem.outcome(states, trace[-1][1], trace)
 
 
 def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
                         granularity: Granularity = Granularity.ELEMENT
                         ) -> OptimizationOutcome:
     """Global optimum by enumeration; ties pick the lexicographically
-    smallest configuration.  Refuses searches beyond 2^20 candidates."""
+    smallest configuration: batches run in lexicographic order (first unit
+    most significant), and a later batch must beat the best strictly.
+    Refuses searches beyond 2^20 candidates."""
     problem = _UnitProblem(scene, layout, table, granularity)
     space = problem.num_states ** problem.num_units
     if space > EXHAUSTIVE_GUARD:
@@ -279,40 +300,43 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
             f"{problem.num_states}^{problem.num_units} = {space} candidates "
             f"exceed the {EXHAUSTIVE_GUARD} guard"
         )
-    best_states = None
-    best_value = -math.inf
-    for candidate in itertools.product(range(problem.num_states),
-                                       repeat=problem.num_units):
-        value = problem.objective(candidate)
-        if value > best_value:
-            best_states, best_value = candidate, value
-    return OptimizationOutcome(config=problem.to_config(best_states),
-                               objective=best_value,
-                               trace=((0, best_value),),
-                               evaluations=problem.evaluations)
+    kernel = problem.kernel
+    digits = problem.num_states ** np.arange(problem.num_units - 1, -1, -1)
+    best_index, best_value = 0, -math.inf
+    for start in range(0, space, BATCH):
+        index = np.arange(start, min(start + BATCH, space))
+        values = problem.score(kernel, problem.partials(
+            kernel, index[:, None] // digits % problem.num_states))
+        best = int(np.argmax(values))
+        if values[best] > best_value:
+            best_index, best_value = start + best, float(values[best])
+    best_states = (best_index // digits % problem.num_states).tolist()
+    return problem.outcome(best_states, best_value, ((0, best_value),))
 
 
 def random_baseline(scene: Scene, layout: ElementLayout, table: StateTable,
                     granularity: Granularity = Granularity.ELEMENT,
                     trials: int = 100, seed: int = 0) -> OptimizationOutcome:
-    """Best of ``trials`` uniform configurations from a seeded generator."""
+    """Best of ``trials`` uniform configurations from a seeded generator;
+    one generator call per trial, so batching the scoring keeps the draws."""
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     problem = _UnitProblem(scene, layout, table, granularity)
+    kernel = problem.kernel
     rng = np.random.default_rng(seed)
     best_states = None
     best_value = -math.inf
     trace = []
-    for t in range(trials):
-        candidate = rng.integers(0, problem.num_states, size=problem.num_units)
-        value = problem.objective(candidate)
-        if value > best_value:
-            best_states, best_value = tuple(int(s) for s in candidate), value
-            trace.append((t, value))
-    return OptimizationOutcome(config=problem.to_config(best_states),
-                               objective=best_value,
-                               trace=tuple(trace),
-                               evaluations=problem.evaluations)
+    for start in range(0, trials, BATCH):
+        draws = np.empty((min(BATCH, trials - start), problem.num_units), dtype=np.int64)
+        for row in draws:
+            row[:] = rng.integers(0, problem.num_states, size=problem.num_units)
+        values = problem.score(kernel, problem.partials(kernel, draws))
+        for t, value in enumerate(values.tolist(), start):
+            if value > best_value:
+                best_states, best_value = draws[t - start].tolist(), value
+                trace.append((t, value))
+    return problem.outcome(best_states, best_value, trace)
 
 
 def relaxed_upper_bound(scene: Scene, layout: ElementLayout,
@@ -320,7 +344,9 @@ def relaxed_upper_bound(scene: Scene, layout: ElementLayout,
     """Continuous-relaxation bound: per-user co-phasing with the largest
     side amplitude.  Upper-bounds the ZF sum rate of every discrete
     configuration (triangle inequality plus the matched-filter bound);
-    not necessarily tight."""
+    not necessarily tight.  Raised by ``BOUND_SLACK`` (relative): with one
+    user and one element it is attained, and rounding could put it an ulp
+    below the objective."""
     geometry = channel_geometry(scene, layout)
     # index 0 reflection, 1 refraction, matching user_side_index
     amax = np.array([float(np.max(table.amplitudes(Side.REFLECTION))),
@@ -334,7 +360,7 @@ def relaxed_upper_bound(scene: Scene, layout: ElementLayout,
     norms_sq = np.sum(bound_entries ** 2, axis=1)
     p_per_stream = scene.tx_power_w / scene.num_users
     rates = np.log2(1.0 + p_per_stream * norms_sq / scene.noise_power_w)
-    return float(np.sum(rates))
+    return float(np.sum(rates)) * (1.0 + BOUND_SLACK)
 
 
 def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
@@ -357,7 +383,4 @@ def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     elif num_samples < 1:
         raise ValidationError("num_samples must be at least 1")
     states, trace = _greedy_sweeps(problem, max_sweeps, epsilon, realizations)
-    return OptimizationOutcome(config=problem.to_config(states),
-                               objective=trace[-1][1],
-                               trace=tuple(trace),
-                               evaluations=problem.evaluations)
+    return problem.outcome(states, trace[-1][1], trace)

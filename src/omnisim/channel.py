@@ -1,14 +1,14 @@
 """Free-space propagation, cascaded BS-panel-user channels, noise, link budgets.
 
-The cascaded channel entry for user k and BS antenna n is the fixed-order
-sum over elements m of
+The cascaded channel entry for user k and BS antenna n is the sum over
+elements m of
 
     g(a_n, p_m) * Gamma_m(side_k) * g(p_m, u_k)
 
 where g is the free-space amplitude gain and Gamma_m the element coefficient
 toward the user's side.  Geometry-only factors are precomputed once per
-scene (:func:`channel_geometry`) so that optimizers can re-assemble the
-matrix for many candidate configurations with identical arithmetic.
+scene (:func:`channel_geometry`); :class:`ChannelKernel` assembles the
+matrix for one configuration or a batch of them with identical arithmetic.
 """
 
 from __future__ import annotations
@@ -251,18 +251,28 @@ class ChannelGeometry:
     ``bs_to_element`` is (Nt, M), ``element_to_user`` (K, M); ``direct`` is
     (K, Nt) with zeros where no direct path applies, or None when disabled.
     ``user_side_index`` holds 0 for reflection-side users, 1 for refraction.
+    ``group_of`` (M,) fixes the order in which elements are summed.
     """
 
     bs_to_element: np.ndarray
     element_to_user: np.ndarray
     user_side_index: np.ndarray
     direct: np.ndarray | None
+    group_of: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.bs_to_element, self.element_to_user, self.user_side_index):
-            arr.setflags(write=False)
-        if self.direct is not None:
-            self.direct.setflags(write=False)
+        for arr in (self.bs_to_element, self.element_to_user, self.user_side_index,
+                    self.direct, self.group_of):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    @cached_property
+    def group_members(self) -> np.ndarray:
+        """(G, m) element indices of each group, ascending."""
+        counts = np.bincount(self.group_of)
+        if (counts != counts[0]).any():
+            raise ValidationError("groups must have equal numbers of elements")
+        return np.argsort(self.group_of, kind="stable").reshape(len(counts), -1)
 
     @property
     def num_antennas(self) -> int:
@@ -299,7 +309,8 @@ def channel_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
         bs_to_element=bs_to_element,
         element_to_user=_hop_gains(scene.users, layout, scene),
         user_side_index=(sides < 0).astype(np.int64),
-        direct=_direct_gains(scene.users, sides, scene) if scene.direct_path else None)
+        direct=_direct_gains(scene.users, sides, scene) if scene.direct_path else None,
+        group_of=layout.group_of)
 
 
 @dataclass(frozen=True)
@@ -307,6 +318,11 @@ class FadingModel:
     """Rician small-scale overlay on each hop; infinite K disables fading."""
 
     k_factor_db: float = math.inf
+
+    def __post_init__(self):
+        # +inf (no fading) and -inf (Rayleigh) are valid
+        if math.isnan(self.k_factor_db):
+            raise ValidationError("k_factor_db must not be NaN")
 
     @property
     def is_degenerate(self) -> bool:
@@ -347,28 +363,111 @@ def draw_realizations(model: FadingModel, geometry: ChannelGeometry,
     return out
 
 
-def assemble_entries(geometry: ChannelGeometry, coefficient_matrix: np.ndarray,
-                     states: np.ndarray,
-                     fading: FadingRealization | None = None) -> np.ndarray:
-    """Raw (K, Nt) channel entries for a per-element state index array.
+ACCUMULATE_MAX_SIZE = 64  # largest term ordered_sum accumulates in one call
+PASS_ENTRIES = 2 ** 13    # products per pass in ChannelKernel.element_partials
+TABLE_REALIZATIONS = 4    # realizations per pass in ChannelKernel.state_tables
 
-    This is the single assembly path shared by :func:`cascaded_channel` and
-    the optimizers, so repeated evaluations are arithmetically identical.
+
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis strictly in index order, ((t0 + t1) + t2) ...
+
+    ``np.sum`` may add pairwise in a shape-dependent order; elementwise adds
+    give each entry the same sum in any batch.  ``np.add.accumulate`` makes
+    the same adds in one call but is slow for large terms.
     """
-    gamma = coefficient_matrix[geometry.user_side_index[:, None],
-                               states[None, :]]  # (K, M)
-    g1 = geometry.bs_to_element
-    g2 = geometry.element_to_user
-    if fading is not None:
-        g1 = g1 * fading.bs_to_element
-        g2 = g2 * fading.element_to_user
-    entries = (gamma * g2) @ g1.T  # (K, Nt); fixed reduction order over m
-    if geometry.direct is not None:
-        direct = geometry.direct
-        if fading is not None and fading.direct is not None:
-            direct = direct * fading.direct
-        entries = entries + direct
-    return entries
+    if terms[0].size <= ACCUMULATE_MAX_SIZE:
+        return np.add.accumulate(terms, axis=0)[-1]
+    total = terms[0] + terms[1] if len(terms) > 1 else terms[0].copy()
+    for term in terms[2:]:
+        total += term
+    return total
+
+
+class ChannelKernel:
+    """Cascaded channels of a batch of configurations: the one assembly path.
+
+    A group's partial channel is the :func:`ordered_sum` of
+    ``(Gamma_m * g2_m) * g1_m`` over its elements in index order; the channel
+    is the ordered sum of the partials in group order, plus the direct path.
+    Every step is elementwise, so a channel is bitwise the same in any batch.
+    Arrays have the candidate axis first; a sequence of fading realizations
+    adds a realization axis after it: channels are then (B, R, K, Nt).
+    """
+
+    def __init__(self, geometry: ChannelGeometry, coefficient_matrix: np.ndarray,
+                 fading=None):
+        self.geometry = geometry
+        self.fading = fading
+        self.realization_axis = fading is not None and not isinstance(fading, FadingRealization)
+        self.members = geometry.group_members
+        self.coefficients = coefficient_matrix
+        self.sides = geometry.user_side_index
+        self.direct = geometry.direct
+        if self.direct is not None and fading is not None:
+            first = fading[0] if self.realization_axis else fading
+            if first.direct is not None:
+                self.direct = self.direct * self._factors("direct")
+        self.channel_size = geometry.num_users * geometry.num_antennas * (
+            len(fading) if self.realization_axis else 1)
+
+    def _factors(self, name: str, idx=slice(None)) -> np.ndarray:
+        if self.realization_axis:
+            return np.stack([getattr(r, name)[:, idx] for r in self.fading])
+        return getattr(self.fading, name)[:, idx]
+
+    @cached_property
+    def gains(self) -> tuple[np.ndarray, np.ndarray]:
+        """Faded gains, member and group axes first: (m, G, 1, [R,] K) to the
+        users and (m, G, 1, [R,] 1, Nt) from the BS."""
+        idx = self.members.T
+        g1 = self.geometry.bs_to_element[:, idx]    # (Nt, m, G)
+        g2 = self.geometry.element_to_user[:, idx]  # (K, m, G)
+        if self.fading is not None:
+            g1 = g1 * self._factors("bs_to_element", idx)
+            g2 = g2 * self._factors("element_to_user", idx)
+        return (np.moveaxis(g2, (-2, -1), (0, 1))[:, :, None],
+                np.moveaxis(g1, (-2, -1), (0, 1))[:, :, None, ..., None, :])
+
+    def partials(self, member_states: np.ndarray, groups=slice(None)) -> np.ndarray:
+        """(g, B, [R,] K, Nt) partial channels of ``groups`` for (B, g, m)
+        states of their members."""
+        to_user, from_bs = (gain[:, groups] for gain in self.gains)
+        gamma = self.coefficients[self.sides, member_states.T[..., None]]  # (m, g, B, K)
+        if self.realization_axis:
+            gamma = gamma[..., None, :]
+        return ordered_sum((gamma * to_user)[..., None] * from_bs)
+
+    def element_partials(self, states: np.ndarray) -> np.ndarray:
+        """(G, B, [R,] K, Nt) group partials for (B, M) per-element states,
+        as many groups per pass as keep the temporaries near PASS_ENTRIES."""
+        step = max(1, PASS_ENTRIES // (states.shape[0] * self.members.shape[1]
+                                       * self.channel_size))
+        return np.concatenate([
+            self.partials(states[:, self.members[g:g + step]], slice(g, g + step))
+            for g in range(0, len(self.members), step)])
+
+    @cached_property
+    def state_tables(self) -> np.ndarray:
+        """(G, P, [R,] K, Nt): each group's partial with all members in state
+        s.  Built a few realizations at a time to bound the temporaries."""
+        if self.realization_axis and len(self.fading) > TABLE_REALIZATIONS:
+            return np.concatenate([
+                ChannelKernel(self.geometry, self.coefficients,
+                              self.fading[i:i + TABLE_REALIZATIONS]).state_tables
+                for i in range(0, len(self.fading), TABLE_REALIZATIONS)], axis=2)
+        states = np.arange(self.coefficients.shape[1])[:, None]
+        return self.element_partials(np.repeat(states, self.members.size, axis=1))
+
+    def group_state_partials(self, group_states: np.ndarray) -> np.ndarray:
+        """(G, B, [R,] K, Nt) group partials for (B, G) per-group states."""
+        tables = self.state_tables  # rows g * P + s of the flat table
+        rows = group_states + tables.shape[1] * np.arange(len(tables))
+        return np.take(tables.reshape(-1, *tables.shape[2:]), rows.T, axis=0)
+
+    def channels(self, partials: np.ndarray) -> np.ndarray:
+        """(B, [R,] K, Nt) channels from (G, B, [R,] K, Nt) group partials."""
+        H = ordered_sum(partials)
+        return H if self.direct is None else H + self.direct
 
 
 def assemble_channel(geometry: ChannelGeometry, table: StateTable,
@@ -386,8 +485,8 @@ def assemble_channel(geometry: ChannelGeometry, table: StateTable,
             f"state index {states.max()} out of range for a "
             f"{table.num_states}-state table"
         )
-    return ChannelMatrix(entries=assemble_entries(
-        geometry, table.coefficient_matrix, states, fading=fading))
+    kernel = ChannelKernel(geometry, table.coefficient_matrix, fading)
+    return ChannelMatrix(entries=kernel.channels(kernel.element_partials(states[None]))[0])
 
 
 def cascaded_channel(scene: Scene, layout: ElementLayout, table: StateTable,

@@ -91,6 +91,7 @@ def _write_json(payload: dict, out_path: str | None) -> None:
 
 
 def cmd_simulate(args) -> int:
+    fading = FadingModel(k_factor_db=args.k_factor_db)  # rejects NaN up front
     parsed = parse_scene(args.config)
     layout = build_layout(parsed.panel)
     granularity = _granularity(args.granularity)
@@ -109,8 +110,7 @@ def cmd_simulate(args) -> int:
     else:
         outcome = beamforming.statistical_optimize(
             parsed.scene, layout, parsed.table,
-            FadingModel(k_factor_db=args.k_factor_db),
-            num_samples=args.samples, seed=args.seed,
+            fading, num_samples=args.samples, seed=args.seed,
             granularity=granularity, max_sweeps=args.sweeps)
     elapsed = time.perf_counter() - started
     rates = beamforming.evaluate_rates(parsed.scene, layout, parsed.table,
@@ -139,9 +139,11 @@ def cmd_simulate(args) -> int:
         },
     }
     _write_json(report, args.out)
-    # wall time stays off the artifact so identical runs stay byte-identical
+    # wall time stays off the artifact so identical runs stay byte-identical;
+    # the degenerate count is a run diagnostic and stays off it too
     print(f"simulate: objective {_fmt(outcome.objective)} bits/s/Hz "
-          f"in {elapsed:.3f} s ({outcome.evaluations} evaluations)",
+          f"in {elapsed:.3f} s ({outcome.evaluations} evaluations, "
+          f"{outcome.degenerate_evaluations} degenerate)",
           file=sys.stderr)
     return EXIT_OK
 

@@ -12,6 +12,12 @@ from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
                      zf_precoder)
 
 
+THREE_STATES = StateTable(states=(
+    CoefficientPair(0.4, 0.0, 0.5, 1.0),
+    CoefficientPair(0.6, 2.1, 0.4, 4.0),
+    CoefficientPair(0.3, 4.2, 0.7, 2.5)))
+
+
 def random_channel(gen, k, nt):
     return (gen.standard_normal((k, nt)) + 1j * gen.standard_normal((k, nt))) \
         / math.sqrt(2)
@@ -226,6 +232,63 @@ class TestRandomBaseline:
         rand = random_baseline(scene, layout, table, Granularity.GROUP,
                                trials=64, seed=5)
         assert rand.objective <= best.objective
+
+
+    @pytest.mark.parametrize("units,scene_seed,table,granularity,trials,seed,"
+                             "config,trace", [
+        (6, 23, "prototype", Granularity.GROUP, 25, 77, (1, 0, 1, 0, 0, 0),
+         [(0, 20.70008049135388), (1, 22.769600051567565)]),
+        (6, 23, "prototype", Granularity.ELEMENT, 40, 5,
+         (0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1),
+         [(0, 10.527333940394628), (1, 16.842884487938406),
+          (2, 17.703770947078272), (3, 20.342032168278447),
+          (5, 20.44415719840577), (6, 22.95894262909185),
+          (35, 23.76655874695529)]),
+        (6, 37, "three", Granularity.GROUP, 30, 11, (2, 0, 1, 2, 1, 0),
+         [(0, 14.737145236681002), (2, 23.479961242619652),
+          (3, 24.09619382744627), (10, 24.120084217049218),
+          (17, 24.4234735794158), (23, 24.83350948990747)]),
+    ])
+    def test_draws_match_one_candidate_at_a_time_scoring(
+            self, units, scene_seed, table, granularity, trials, seed, config,
+            trace):
+        """Chosen configuration and trace as recorded when every trial was
+        drawn and scored one at a time: batching the scoring keeps the draw
+        stream.  Values may move by last bits (new summation order)."""
+        scene, layout = small_scene(units=units, seed=scene_seed)
+        table = prototype_state_table() if table == "prototype" else THREE_STATES
+        out = random_baseline(scene, layout, table, granularity,
+                              trials=trials, seed=seed)
+        chosen = (out.config.group_states(layout)
+                  if granularity is Granularity.GROUP else out.config.states)
+        assert chosen == config
+        assert [t for t, _ in out.trace] == [t for t, _ in trace]
+        for (_, value), (_, recorded) in zip(out.trace, trace):
+            assert value == pytest.approx(recorded, rel=1e-12)
+
+
+class TestDegenerateAccounting:
+    def test_coincident_users_make_every_evaluation_degenerate(self):
+        scene, layout = small_scene(units=4, seed=3)
+        twins = Scene(frequency_hz=scene.frequency_hz, panel=scene.panel,
+                      bs_antennas=scene.bs_antennas,
+                      users=[scene.users[0], scene.users[0]],
+                      tx_power_dbm=scene.tx_power_dbm,
+                      bandwidth_hz=scene.bandwidth_hz)
+        table = prototype_state_table()
+        for out in (greedy_optimize(twins, layout, table, Granularity.GROUP),
+                    greedy_optimize(twins, layout, table, Granularity.ELEMENT),
+                    exhaustive_optimize(twins, layout, table, Granularity.GROUP),
+                    random_baseline(twins, layout, table, trials=9, seed=1)):
+            assert out.evaluations > 0
+            assert out.degenerate_evaluations == out.evaluations
+            assert out.objective == 0.0
+
+    def test_full_rank_scene_counts_no_degenerate_evaluations(self):
+        scene, layout = small_scene(units=5, seed=8)
+        out = exhaustive_optimize(scene, layout, prototype_state_table(),
+                                  Granularity.GROUP)
+        assert out.degenerate_evaluations == 0
 
 
 class TestRelaxedUpperBound:

@@ -275,6 +275,17 @@ class TestFading:
         assert FadingModel(math.inf).is_degenerate
         assert not FadingModel(10.0).is_degenerate
 
+    def test_nan_k_factor_is_rejected(self):
+        with pytest.raises(ValidationError):
+            FadingModel(math.nan)
+
+    def test_rayleigh_k_factor_draws_finite_factors(self):
+        model = FadingModel(-math.inf)
+        assert not model.is_degenerate
+        sample = model.draw(np.random.default_rng(0), (1000,))
+        assert np.all(np.isfinite(sample))
+        assert np.mean(np.abs(sample) ** 2) == pytest.approx(1.0, rel=0.1)
+
     def test_factors_have_unit_mean_square(self):
         model = FadingModel(k_factor_db=3.0)
         gen = np.random.default_rng(0)

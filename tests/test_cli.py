@@ -98,6 +98,39 @@ class TestSimulate:
             paths.append(out_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_nan_k_factor_is_validation_error(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "simulate",
+                               "--config", small_scene_file(tmp_path),
+                               "--optimizer", "statistical", "--samples", "4",
+                               "--k-factor-db", "nan", "--out", str(out_path))
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("k_factor", ["inf", "-inf"])
+    def test_infinite_k_factors_are_valid(self, capsys, tmp_path, k_factor):
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "simulate",
+                             "--config", small_scene_file(tmp_path),
+                             "--optimizer", "statistical", "--samples", "4",
+                             f"--k-factor-db={k_factor}", "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["outcome"]["objective_bps_hz"] > 0
+
+    def test_degenerate_count_goes_to_stderr_only(self, capsys, tmp_path):
+        """Two users at one point make every channel rank-deficient."""
+        scene = small_scene_file(tmp_path, users=[[0.4, 0.2, 0.9], [0.4, 0.2, 0.9]])
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "simulate", "--config", scene,
+                               "--optimizer", "exhaustive",
+                               "--granularity", "group", "--out", str(out_path))
+        assert code == 0
+        assert "(4 evaluations, 4 degenerate)" in err
+        text = out_path.read_text()
+        assert "degenerate_evaluations" not in text
+        assert json.loads(text)["outcome"]["degenerate_channel"] is True
+
     def test_exhaustive_on_small_scene(self, capsys, tmp_path):
         scene = small_scene_file(tmp_path)
         out_path = tmp_path / "report.json"
