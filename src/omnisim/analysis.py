@@ -132,8 +132,7 @@ def _scattered(scene: Scene, layout: ElementLayout, table: StateTable,
 
 def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
                   config: Configuration, side: Side, angles_deg: np.ndarray,
-                  eval_radius: float = 100.0, cut: str = "azimuth",
-                  geometry: ChannelGeometry | None = None
+                  eval_radius: float = 100.0, cut: str = "azimuth"
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalised scattered power at each probe angle.
 
@@ -145,8 +144,7 @@ def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
         raise ValidationError("eval_radius must be positive and finite")
     if cut not in ("azimuth", "elevation"):
         raise ValidationError(f"unknown cut {cut!r}; expected azimuth or elevation")
-    if geometry is None:
-        geometry = channel_geometry(scene, layout)
+    geometry = channel_geometry(scene, layout)
     config.validate_against(table, layout)
     axis = layout.u if cut == "azimuth" else layout.v
     normal_out = scene.panel.normal * scene.bs_side_sign

@@ -136,9 +136,10 @@ def evaluate_rates(scene: Scene, layout: ElementLayout, table: StateTable,
     if geometry is None:
         geometry = channel_geometry(scene, layout)
     config.validate_against(table, layout)
-    kernel = ChannelKernel(geometry, table.coefficient_matrix, fading)
+    kernel = ChannelKernel(geometry, table.coefficient_matrix,
+                           () if fading is None else (fading,))
     H = kernel.channels(kernel.element_partials(np.asarray(config.states)[None]))
-    rates, total, _, degenerate = _zero_forcing(H, scene.tx_power_w,
+    rates, total, _, degenerate = _zero_forcing(H[:, 0], scene.tx_power_w,
                                                 scene.noise_power_w)
     return RateResult(sum_rate=float(total[0]), per_user_rate=rates[0],
                       degenerate=bool(degenerate[0]))
@@ -164,68 +165,61 @@ class OptimizationOutcome:
 
 class _UnitProblem:
     """Shared machinery: (B, units) arrays of candidate unit states, scored
-    by :meth:`score` against one cached geometry, exactly as ``sum_rate``
+    by :meth:`score` through its one kernel, exactly as ``sum_rate``
     scores them.  Under fading a candidate's objective is the ``math.fsum``
     average over the realizations, and it is degenerate if any channel is.
     """
 
     def __init__(self, scene: Scene, layout: ElementLayout, table: StateTable,
-                 granularity: Granularity):
+                 granularity: Granularity, geometry: ChannelGeometry | None = None,
+                 realizations=()):
         self.layout = layout
         self.granularity = granularity
-        self.geometry = channel_geometry(scene, layout)
+        if geometry is None:
+            geometry = channel_geometry(scene, layout)
+        self.kernel = ChannelKernel(geometry, table.coefficient_matrix, realizations)
         self.powers = (scene.tx_power_w, scene.noise_power_w)
-        self.coefficients = table.coefficient_matrix
         self.num_states = table.num_states
         if granularity is Granularity.GROUP:
             self.num_units = layout.num_groups
         else:
             self.num_units = layout.num_elements
             # each element's position among its group's members
-            members = self.geometry.group_members
+            members = self.kernel.members
             self.position = np.empty(layout.num_elements, dtype=np.int64)
             self.position[members] = np.arange(members.shape[1])
         self.evaluations = 0
         self.degenerate_evaluations = 0
-        self.kernel = ChannelKernel(self.geometry, self.coefficients)
 
-    def kernel_for(self, realizations) -> ChannelKernel:
-        if realizations is None:
-            return self.kernel
-        return ChannelKernel(self.geometry, self.coefficients, realizations)
-
-    def partials(self, kernel: ChannelKernel, unit_states: np.ndarray) -> np.ndarray:
-        """(G, B, ...) group partials for (B, units) candidate states."""
+    def partials(self, unit_states: np.ndarray) -> np.ndarray:
+        """(G, B, R, K, Nt) group partials for (B, units) candidate states."""
         if self.granularity is Granularity.GROUP:
-            return kernel.group_state_partials(unit_states)
-        return kernel.element_partials(unit_states)
+            return self.kernel.group_state_partials(unit_states)
+        return self.kernel.element_partials(unit_states)
 
-    def unit_partials(self, kernel: ChannelKernel, states: np.ndarray, unit: int,
+    def unit_partials(self, states: np.ndarray, unit: int,
                       candidates: np.ndarray) -> tuple[int, np.ndarray]:
         """(group, partials) of the one group that changes when ``unit`` of
         ``states`` takes each of ``candidates``; only that group is recomputed."""
         if self.granularity is Granularity.GROUP:
-            return unit, kernel.state_tables[unit][candidates]
+            return unit, self.kernel.state_tables[unit][candidates]
         group = int(self.layout.group_of[unit])
-        member_states = np.repeat(states[None, kernel.members[group]],
+        member_states = np.repeat(states[None, self.kernel.members[group]],
                                   len(candidates), axis=0)
         member_states[:, self.position[unit]] = candidates
-        return group, kernel.partials(member_states[:, None], slice(group, group + 1))[0]
+        return group, self.kernel.partials(member_states[:, None], slice(group, group + 1))[0]
 
-    def score(self, kernel: ChannelKernel, partials: np.ndarray) -> np.ndarray:
-        """(B,) objectives of the candidates with (G, B, ...) group partials."""
-        _, total, _, degenerate = _zero_forcing(kernel.channels(partials), *self.powers)
-        self.evaluations += len(degenerate)
-        if not kernel.realization_axis:
+    def score(self, partials: np.ndarray) -> np.ndarray:
+        """(B,) objectives of the candidates with (G, B, R, K, Nt) group partials."""
+        H = self.kernel.channels(partials)
+        self.evaluations += len(H)
+        if H.shape[1] == 1:  # as evaluate_rates; a unit axis slows ZF's many small calls
+            _, total, _, degenerate = _zero_forcing(H[:, 0], *self.powers)
             self.degenerate_evaluations += int(np.count_nonzero(degenerate))
             return total
+        _, total, _, degenerate = _zero_forcing(H, *self.powers)
         self.degenerate_evaluations += int(np.count_nonzero(degenerate.any(axis=1)))
         return np.array([math.fsum(rates) / len(rates) for rates in total.tolist()])
-
-    def objective(self, unit_states, realizations=None) -> float:
-        kernel = self.kernel_for(realizations)
-        states = np.asarray(unit_states, dtype=np.int64)[None]
-        return float(self.score(kernel, self.partials(kernel, states))[0])
 
     def outcome(self, unit_states, objective: float, trace) -> OptimizationOutcome:
         if self.granularity is Granularity.GROUP:
@@ -237,8 +231,7 @@ class _UnitProblem:
                                    degenerate_evaluations=self.degenerate_evaluations)
 
 
-def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int, epsilon: float,
-                   realizations=None):
+def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int, epsilon: float):
     """One-at-a-time coordinate ascent over unit states.
 
     Each unit keeps its current state on ties; among strictly better states
@@ -247,10 +240,9 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int, epsilon: float,
     """
     if max_sweeps < 1:
         raise ValidationError("max_sweeps must be at least 1")
-    kernel = problem.kernel_for(realizations)
     states = np.zeros(problem.num_units, dtype=np.int64)
-    partials = problem.partials(kernel, states[None])  # (G, 1, ...)
-    current = float(problem.score(kernel, partials)[0])
+    partials = problem.partials(states[None])  # (G, 1, R, K, Nt)
+    current = float(problem.score(partials)[0])
     trace = [(0, current)]
     others = [np.delete(np.arange(problem.num_states), s)
               for s in range(problem.num_states)]
@@ -260,10 +252,10 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int, epsilon: float,
             candidates = others[states[unit]]
             if not len(candidates):
                 continue
-            group, changed = problem.unit_partials(kernel, states, unit, candidates)
+            group, changed = problem.unit_partials(states, unit, candidates)
             trial = np.repeat(partials, len(candidates), axis=1)
             trial[group] = changed
-            values = problem.score(kernel, trial)
+            values = problem.score(trial)
             best = int(np.argmax(values))
             if values[best] > current:
                 states[unit] = candidates[best]
@@ -300,13 +292,12 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
             f"{problem.num_states}^{problem.num_units} = {space} candidates "
             f"exceed the {EXHAUSTIVE_GUARD} guard"
         )
-    kernel = problem.kernel
     digits = problem.num_states ** np.arange(problem.num_units - 1, -1, -1)
     best_index, best_value = 0, -math.inf
     for start in range(0, space, BATCH):
         index = np.arange(start, min(start + BATCH, space))
-        values = problem.score(kernel, problem.partials(
-            kernel, index[:, None] // digits % problem.num_states))
+        values = problem.score(problem.partials(
+            index[:, None] // digits % problem.num_states))
         best = int(np.argmax(values))
         if values[best] > best_value:
             best_index, best_value = start + best, float(values[best])
@@ -322,7 +313,6 @@ def random_baseline(scene: Scene, layout: ElementLayout, table: StateTable,
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     problem = _UnitProblem(scene, layout, table, granularity)
-    kernel = problem.kernel
     rng = np.random.default_rng(seed)
     best_states = None
     best_value = -math.inf
@@ -331,7 +321,7 @@ def random_baseline(scene: Scene, layout: ElementLayout, table: StateTable,
         draws = np.empty((min(BATCH, trials - start), problem.num_units), dtype=np.int64)
         for row in draws:
             row[:] = rng.integers(0, problem.num_states, size=problem.num_units)
-        values = problem.score(kernel, problem.partials(kernel, draws))
+        values = problem.score(problem.partials(draws))
         for t, value in enumerate(values.tolist(), start):
             if value > best_value:
                 best_states, best_value = draws[t - start].tolist(), value
@@ -375,12 +365,12 @@ def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     recomputed per realization.  A degenerate (infinite-K) fading model
     reduces exactly to :func:`greedy_optimize`.
     """
-    problem = _UnitProblem(scene, layout, table, granularity)
-    realizations = None
+    geometry = channel_geometry(scene, layout)
+    realizations = ()
     if not fading_model.is_degenerate:
-        realizations = draw_realizations(fading_model, problem.geometry,
-                                         seed, num_samples)
+        realizations = draw_realizations(fading_model, geometry, seed, num_samples)
     elif num_samples < 1:
         raise ValidationError("num_samples must be at least 1")
-    states, trace = _greedy_sweeps(problem, max_sweeps, epsilon, realizations)
+    problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
+    states, trace = _greedy_sweeps(problem, max_sweeps, epsilon)
     return problem.outcome(states, trace[-1][1], trace)

@@ -62,6 +62,10 @@ class Scene:
             raise ValidationError("frequency_hz must be positive")
         if not (self.bandwidth_hz > 0):
             raise ValidationError("bandwidth_hz must be positive")
+        for name in ("tx_power_dbm", "noise_figure_db", "tx_gain_db", "rx_gain_db",
+                     "lna_gain_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.element_factor_q < 0:
             raise ValidationError("element_factor_q must be non-negative")
         bs = np.atleast_2d(np.asarray(self.bs_antennas, dtype=float))
@@ -390,55 +394,46 @@ class ChannelKernel:
     ``(Gamma_m * g2_m) * g1_m`` over its elements in index order; the channel
     is the ordered sum of the partials in group order, plus the direct path.
     Every step is elementwise, so a channel is bitwise the same in any batch.
-    Arrays have the candidate axis first; a sequence of fading realizations
-    adds a realization axis after it: channels are then (B, R, K, Nt).
+    Arrays have the candidate axis first and one axis per fading realization
+    after it: channels are (B, R, K, Nt), with R = 1 when ``fading`` is empty.
     """
 
     def __init__(self, geometry: ChannelGeometry, coefficient_matrix: np.ndarray,
-                 fading=None):
+                 fading=()):
         self.geometry = geometry
         self.fading = fading
-        self.realization_axis = fading is not None and not isinstance(fading, FadingRealization)
         self.members = geometry.group_members
         self.coefficients = coefficient_matrix
         self.sides = geometry.user_side_index
         self.direct = geometry.direct
-        if self.direct is not None and fading is not None:
-            first = fading[0] if self.realization_axis else fading
-            if first.direct is not None:
-                self.direct = self.direct * self._factors("direct")
-        self.channel_size = geometry.num_users * geometry.num_antennas * (
-            len(fading) if self.realization_axis else 1)
-
-    def _factors(self, name: str, idx=slice(None)) -> np.ndarray:
-        if self.realization_axis:
-            return np.stack([getattr(r, name)[:, idx] for r in self.fading])
-        return getattr(self.fading, name)[:, idx]
+        # Both operands of a fading product carry the realization axis: numpy
+        # multiplies a lone entry broadcast to a higher rank with other last bits.
+        if self.direct is not None and fading and fading[0].direct is not None:
+            self.direct = self.direct[None] * np.stack([r.direct for r in fading])
+        self.channel_size = geometry.num_users * geometry.num_antennas * max(1, len(fading))
 
     @cached_property
     def gains(self) -> tuple[np.ndarray, np.ndarray]:
-        """Faded gains, member and group axes first: (m, G, 1, [R,] K) to the
-        users and (m, G, 1, [R,] 1, Nt) from the BS."""
+        """Faded gains, member and group axes first: (m, G, 1, R, K) to the
+        users and (m, G, 1, R, 1, Nt) from the BS."""
         idx = self.members.T
-        g1 = self.geometry.bs_to_element[:, idx]    # (Nt, m, G)
-        g2 = self.geometry.element_to_user[:, idx]  # (K, m, G)
-        if self.fading is not None:
-            g1 = g1 * self._factors("bs_to_element", idx)
-            g2 = g2 * self._factors("element_to_user", idx)
+        g1 = self.geometry.bs_to_element[:, idx][None]    # (1, Nt, m, G)
+        g2 = self.geometry.element_to_user[:, idx][None]  # (1, K, m, G)
+        if self.fading:
+            g1 = g1 * np.stack([r.bs_to_element[:, idx] for r in self.fading])
+            g2 = g2 * np.stack([r.element_to_user[:, idx] for r in self.fading])
         return (np.moveaxis(g2, (-2, -1), (0, 1))[:, :, None],
-                np.moveaxis(g1, (-2, -1), (0, 1))[:, :, None, ..., None, :])
+                np.moveaxis(g1, (-2, -1), (0, 1))[:, :, None, :, None, :])
 
     def partials(self, member_states: np.ndarray, groups=slice(None)) -> np.ndarray:
-        """(g, B, [R,] K, Nt) partial channels of ``groups`` for (B, g, m)
+        """(g, B, R, K, Nt) partial channels of ``groups`` for (B, g, m)
         states of their members."""
         to_user, from_bs = (gain[:, groups] for gain in self.gains)
-        gamma = self.coefficients[self.sides, member_states.T[..., None]]  # (m, g, B, K)
-        if self.realization_axis:
-            gamma = gamma[..., None, :]
+        gamma = self.coefficients[self.sides, member_states.T[..., None, None]]  # (m, g, B, 1, K)
         return ordered_sum((gamma * to_user)[..., None] * from_bs)
 
     def element_partials(self, states: np.ndarray) -> np.ndarray:
-        """(G, B, [R,] K, Nt) group partials for (B, M) per-element states,
+        """(G, B, R, K, Nt) group partials for (B, M) per-element states,
         as many groups per pass as keep the temporaries near PASS_ENTRIES."""
         step = max(1, PASS_ENTRIES // (states.shape[0] * self.members.shape[1]
                                        * self.channel_size))
@@ -448,9 +443,9 @@ class ChannelKernel:
 
     @cached_property
     def state_tables(self) -> np.ndarray:
-        """(G, P, [R,] K, Nt): each group's partial with all members in state
+        """(G, P, R, K, Nt): each group's partial with all members in state
         s.  Built a few realizations at a time to bound the temporaries."""
-        if self.realization_axis and len(self.fading) > TABLE_REALIZATIONS:
+        if len(self.fading) > TABLE_REALIZATIONS:
             return np.concatenate([
                 ChannelKernel(self.geometry, self.coefficients,
                               self.fading[i:i + TABLE_REALIZATIONS]).state_tables
@@ -459,20 +454,19 @@ class ChannelKernel:
         return self.element_partials(np.repeat(states, self.members.size, axis=1))
 
     def group_state_partials(self, group_states: np.ndarray) -> np.ndarray:
-        """(G, B, [R,] K, Nt) group partials for (B, G) per-group states."""
+        """(G, B, R, K, Nt) group partials for (B, G) per-group states."""
         tables = self.state_tables  # rows g * P + s of the flat table
         rows = group_states + tables.shape[1] * np.arange(len(tables))
         return np.take(tables.reshape(-1, *tables.shape[2:]), rows.T, axis=0)
 
     def channels(self, partials: np.ndarray) -> np.ndarray:
-        """(B, [R,] K, Nt) channels from (G, B, [R,] K, Nt) group partials."""
+        """(B, R, K, Nt) channels from (G, B, R, K, Nt) group partials."""
         H = ordered_sum(partials)
         return H if self.direct is None else H + self.direct
 
 
 def assemble_channel(geometry: ChannelGeometry, table: StateTable,
-                     config: Configuration,
-                     fading: FadingRealization | None = None) -> ChannelMatrix:
+                     config: Configuration) -> ChannelMatrix:
     """Combine geometry factors with the per-element coefficients of ``config``."""
     if len(config) != geometry.num_elements:
         raise ValidationError(
@@ -485,8 +479,8 @@ def assemble_channel(geometry: ChannelGeometry, table: StateTable,
             f"state index {states.max()} out of range for a "
             f"{table.num_states}-state table"
         )
-    kernel = ChannelKernel(geometry, table.coefficient_matrix, fading)
-    return ChannelMatrix(entries=kernel.channels(kernel.element_partials(states[None]))[0])
+    kernel = ChannelKernel(geometry, table.coefficient_matrix)
+    return ChannelMatrix(entries=kernel.channels(kernel.element_partials(states[None]))[0, 0])
 
 
 def cascaded_channel(scene: Scene, layout: ElementLayout, table: StateTable,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +45,17 @@ class _CliParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for dB items: a number that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -302,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     lb = sub.add_parser("linkbudget", help="itemized received-power chain")
     lb.add_argument("--config", required=True)
-    lb.add_argument("--ios-gain-db", type=float, required=True)
-    lb.add_argument("--tx-ios-db", type=float, default=None,
+    lb.add_argument("--ios-gain-db", type=_finite_float, required=True)
+    lb.add_argument("--tx-ios-db", type=_finite_float, default=None,
                     help="override the Tx->panel channel gain item")
-    lb.add_argument("--ios-rx-db", type=float, default=None,
+    lb.add_argument("--ios-rx-db", type=_finite_float, default=None,
                     help="override the panel->Rx channel gain item")
     lb.set_defaults(func=cmd_linkbudget)
 

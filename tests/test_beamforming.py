@@ -368,10 +368,11 @@ class TestStatisticalOptimize:
                                    num_samples=200, seed=13,
                                    granularity=Granularity.GROUP)
         from omnisim.beamforming import _UnitProblem
-        from omnisim.channel import draw_realizations
-        problem = _UnitProblem(scene, layout, table, Granularity.GROUP)
-        realizations = draw_realizations(model, problem.geometry, 13, 200)
-        zero = problem.objective([0] * problem.num_units, realizations)
-        chosen = problem.objective(out.config.group_states(layout),
-                                   realizations)
+        from omnisim.channel import channel_geometry, draw_realizations
+        geometry = channel_geometry(scene, layout)
+        realizations = draw_realizations(model, geometry, 13, 200)
+        problem = _UnitProblem(scene, layout, table, Granularity.GROUP,
+                               geometry, realizations)
+        zero, chosen = problem.score(problem.partials(np.array(
+            [[0] * problem.num_units, out.config.group_states(layout)])))
         assert chosen >= zero

@@ -232,6 +232,13 @@ class TestSceneValidation:
             make_scene(tiny_panel(), [0, 0, 1.0], [0, 0, -1.0],
                        frequency_hz=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "noise_figure_db", "tx_gain_db",
+                                       "rx_gain_db", "lna_gain_db"])
+    def test_rejects_non_finite_powers_and_gains(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            make_scene(tiny_panel(), [0, 0, 1.0], [0, 0, -1.0], **{field: value})
+
     def test_rejects_straddling_bs_antennas(self):
         with pytest.raises(InvalidSceneError):
             make_scene(tiny_panel(), [[0, 0, 1.0], [0, 0, -1.0]],

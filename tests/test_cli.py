@@ -60,6 +60,20 @@ class TestLinkBudget:
         final = out.strip().splitlines()[-1]
         assert final == f"received_dbm {format(expected, '.6g')}"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--ios-gain-db", "--tx-ios-db", "--ios-rx-db"])
+    def test_non_finite_item_is_validation_error(self, capsys, flag, value):
+        # flag=value, so argparse does not read "-inf" as an option
+        required = [] if flag == "--ios-gain-db" else ["--ios-gain-db", "0"]
+        code, out, err = run_cli(capsys, "linkbudget",
+                                 "--config", prototype_scene_path(),
+                                 *required, f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "validation"
+        assert flag in payload["message"]
+
 
 class TestSimulate:
     def test_greedy_group_reports_16_group_states(self, capsys, tmp_path):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
                      PanelSpec, Scene, StateTable, build_layout,
@@ -83,38 +83,42 @@ class TestBatchInvariance:
         at another offset, a candidate gets the same bits; without fading
         they are also ``sum_rate``'s bits."""
         scene, layout, table = world
-        problem = _UnitProblem(scene, layout, table, granularity)
-        realizations = None
+        geometry = channel_geometry(scene, layout)
+        realizations = ()
         if faded:
-            realizations = draw_realizations(FadingModel(6.0), problem.geometry,
-                                             seed % 1000, 3)
-        kernel = problem.kernel_for(realizations)
+            realizations = draw_realizations(FadingModel(6.0), geometry, seed % 1000, 3)
+        problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
         gen = np.random.default_rng(seed)
         candidates = gen.integers(0, table.num_states, (size, problem.num_units))
-        batch = problem.score(kernel, problem.partials(kernel, candidates))
+        batch = problem.score(problem.partials(candidates))
         offset = int(gen.integers(0, size))
-        shifted = problem.score(kernel, problem.partials(kernel, candidates[offset:]))
+        shifted = problem.score(problem.partials(candidates[offset:]))
         assert np.array_equal(shifted, batch[offset:])
         for i in sorted({0, offset, size - 1}):
-            alone = problem.score(kernel, problem.partials(kernel, candidates[i:i + 1]))
+            alone = problem.score(problem.partials(candidates[i:i + 1]))
             assert alone[0] == batch[i]
             if not faded:
                 config = unit_config(layout, granularity, candidates[i].tolist())
                 assert sum_rate(scene, layout, table, config) == batch[i]
 
+    @pytest.mark.parametrize("num_samples", [1, 4, 5, 9])
     @given(scenes(), granularities, st.integers(0, 2 ** 32 - 1))
+    @example(make_scene(1, 1, 1, 1, 1, 2, False), Granularity.GROUP, 0)
     @settings(max_examples=20)
-    def test_statistical_matches_fsum_of_evaluate_rates(self, world, granularity,
-                                                        seed):
+    def test_statistical_matches_fsum_of_evaluate_rates(self, num_samples, world,
+                                                        granularity, seed):
+        """One realization, exactly TABLE_REALIZATIONS, and more than that
+        (the group state tables are then built in chunks).  The example is a
+        one-element panel, where every fading product is a single entry."""
         scene, layout, table = world
         model = FadingModel(8.0)
-        out = statistical_optimize(scene, layout, table, model, num_samples=4,
+        out = statistical_optimize(scene, layout, table, model, num_samples=num_samples,
                                    seed=seed, granularity=granularity)
         realizations = draw_realizations(model, channel_geometry(scene, layout),
-                                         seed, 4)
+                                         seed, num_samples)
         average = math.fsum(
             evaluate_rates(scene, layout, table, out.config, fading=r).sum_rate
-            for r in realizations) / 4
+            for r in realizations) / num_samples
         assert out.objective == average
 
 
