@@ -92,10 +92,10 @@ class CoverageMap:
 
 
 def _pattern_angles(step_deg: float) -> np.ndarray:
-    """Symmetric grid k*step strictly inside (-90, 90); step > range gives
-    the single broadside sample."""
-    if not step_deg > 0:
-        raise ValidationError("step_deg must be positive")
+    """Symmetric grid k*step strictly inside (-90, 90); a finite step >
+    range gives the single broadside sample."""
+    if not 0 < step_deg < math.inf:
+        raise ValidationError("step_deg must be positive and finite")
     kmax = int(math.floor((90.0 - 1e-9) / step_deg))
     return np.arange(-kmax, kmax + 1) * step_deg
 

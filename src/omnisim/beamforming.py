@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelGeometry, ChannelKernel, ChannelMatrix, FadingModel,
+from .channel import (ChannelGeometry, ChannelKernel, FadingModel,
                       FadingRealization, Scene, channel_geometry,
                       draw_realizations, ordered_sum)
 from .elements import Configuration, Granularity, StateTable
@@ -26,6 +26,8 @@ from .geometry import ElementLayout, Side
 CONDITION_LIMIT = 1e12
 EXHAUSTIVE_GUARD = 2 ** 20
 BOUND_SLACK = 1e-12
+# Greedy sweeps stop once a sweep's relative improvement falls below this.
+CONVERGENCE_EPSILON = 1e-9
 # Candidates per kernel call in exhaustive and random search; bounds the
 # temporaries (README: how a configuration is scored).
 BATCH = 256
@@ -40,11 +42,6 @@ class BeamformerResult:
     per_user_rate: np.ndarray     # (K,) bits/s/Hz
     sum_rate: float
     column_norms: np.ndarray      # (K,) norms of the raw pseudo-inverse columns
-
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(self.power_allocation *
-                            np.sum(np.abs(self.precoder) ** 2, axis=0)))
 
 
 def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
@@ -100,8 +97,7 @@ def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> Beamform
     Raises TooManyUsersError when K > Nt and RankDeficientChannelError when
     H H^H is singular or its condition number reaches 1e12.
     """
-    H = channel.entries if isinstance(channel, ChannelMatrix) else \
-        np.atleast_2d(np.asarray(channel, dtype=complex))
+    H = np.atleast_2d(np.asarray(channel, dtype=complex))
     if not (total_power_w > 0 and noise_power_w > 0):
         raise ValidationError("total power and noise power must be positive")
     rates, total, cond, degenerate = _zero_forcing(H[None], total_power_w,
@@ -231,7 +227,7 @@ class _UnitProblem:
                                    degenerate_evaluations=self.degenerate_evaluations)
 
 
-def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int, epsilon: float):
+def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int):
     """One-at-a-time coordinate ascent over unit states.
 
     Each unit keeps its current state on ties; among strictly better states
@@ -263,18 +259,17 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int, epsilon: float):
                 partials[group] = changed[best]
         trace.append((sweep, current))
         improvement = (current - before) / max(abs(before), 1e-30)
-        if improvement < epsilon:
+        if improvement < CONVERGENCE_EPSILON:
             break
     return states.tolist(), trace
 
 
 def greedy_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
                     granularity: Granularity = Granularity.ELEMENT,
-                    max_sweeps: int = 10,
-                    epsilon: float = 1e-9) -> OptimizationOutcome:
+                    max_sweeps: int = 10) -> OptimizationOutcome:
     """Coordinate-ascent sweeps over unit states, starting from all zeros."""
     problem = _UnitProblem(scene, layout, table, granularity)
-    states, trace = _greedy_sweeps(problem, max_sweeps, epsilon)
+    states, trace = _greedy_sweeps(problem, max_sweeps)
     return problem.outcome(states, trace[-1][1], trace)
 
 
@@ -356,8 +351,7 @@ def relaxed_upper_bound(scene: Scene, layout: ElementLayout,
 def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
                          fading_model: FadingModel, num_samples: int, seed: int,
                          granularity: Granularity = Granularity.ELEMENT,
-                         max_sweeps: int = 10,
-                         epsilon: float = 1e-9) -> OptimizationOutcome:
+                         max_sweeps: int = 10) -> OptimizationOutcome:
     """Greedy sweeps against the sample-average sum rate under Rician fading.
 
     The fading realizations are drawn once up front and frozen across all
@@ -372,5 +366,5 @@ def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     elif num_samples < 1:
         raise ValidationError("num_samples must be at least 1")
     problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
-    states, trace = _greedy_sweeps(problem, max_sweeps, epsilon)
+    states, trace = _greedy_sweeps(problem, max_sweeps)
     return problem.outcome(states, trace[-1][1], trace)

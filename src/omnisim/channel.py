@@ -21,7 +21,7 @@ import numpy as np
 
 from .elements import Configuration, StateTable
 from .errors import InvalidSceneError, ValidationError
-from .geometry import ElementLayout, PanelSpec, Side, side_of
+from .geometry import ElementLayout, PanelSpec
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -58,16 +58,15 @@ class Scene:
     element_factor_q: float = 0.0
 
     def __post_init__(self):
-        if not (self.frequency_hz > 0):
-            raise ValidationError("frequency_hz must be positive")
-        if not (self.bandwidth_hz > 0):
-            raise ValidationError("bandwidth_hz must be positive")
+        for name in ("frequency_hz", "bandwidth_hz"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         for name in ("tx_power_dbm", "noise_figure_db", "tx_gain_db", "rx_gain_db",
                      "lna_gain_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        if self.element_factor_q < 0:
-            raise ValidationError("element_factor_q must be non-negative")
+        if not 0 <= self.element_factor_q < math.inf:
+            raise ValidationError("element_factor_q must be non-negative and finite")
         bs = np.atleast_2d(np.asarray(self.bs_antennas, dtype=float))
         users = np.atleast_2d(np.asarray(self.users, dtype=float))
         for name, arr in (("bs antennas", bs), ("users", users)):
@@ -120,9 +119,6 @@ class Scene:
         """+1 on the BS (reflection) side, -1 on the refraction side, 0 in
         the panel plane, for each point of a (..., 3) array."""
         return self.panel.plane_side(points) * self.bs_side_sign
-
-    def side_of_point(self, point) -> Side:
-        return side_of(self.panel, self.bs_antennas[0], point)
 
 
 def friis_gain(distance, wavelength: float):
@@ -190,28 +186,6 @@ def prototype_chain(scene: Scene, ios_gain_db: float,
             ("lna_db", scene.lna_gain_db),
         ),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    """Cascaded complex channel, users x BS antennas, dimensionless amplitude."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.atleast_2d(np.asarray(self.entries, dtype=complex))
-        if not np.all(np.isfinite(entries)):
-            raise ValidationError("channel entries must be finite")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def num_users(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.entries.shape[1]
 
 
 def _hop_gains(points: np.ndarray, layout: ElementLayout, scene: Scene) -> np.ndarray:
@@ -466,8 +440,9 @@ class ChannelKernel:
 
 
 def assemble_channel(geometry: ChannelGeometry, table: StateTable,
-                     config: Configuration) -> ChannelMatrix:
-    """Combine geometry factors with the per-element coefficients of ``config``."""
+                     config: Configuration) -> np.ndarray:
+    """Read-only (K, Nt) cascaded channel: the geometry factors combined with
+    the per-element coefficients of ``config``."""
     if len(config) != geometry.num_elements:
         raise ValidationError(
             f"configuration covers {len(config)} elements, geometry has "
@@ -480,10 +455,8 @@ def assemble_channel(geometry: ChannelGeometry, table: StateTable,
             f"{table.num_states}-state table"
         )
     kernel = ChannelKernel(geometry, table.coefficient_matrix)
-    return ChannelMatrix(entries=kernel.channels(kernel.element_partials(states[None]))[0, 0])
-
-
-def cascaded_channel(scene: Scene, layout: ElementLayout, table: StateTable,
-                     config: Configuration) -> ChannelMatrix:
-    """Cascaded BS -> panel -> user channel matrix for one configuration."""
-    return assemble_channel(channel_geometry(scene, layout), table, config)
+    H = kernel.channels(kernel.element_partials(states[None]))[0, 0]
+    if not np.all(np.isfinite(H)):
+        raise ValidationError("channel entries must be finite")
+    H.setflags(write=False)
+    return H

@@ -58,6 +58,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for seeds: numpy generators take no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _fmt(value) -> str:
     """Fixed CSV/console numeric format: 6 significant digits."""
     return format(float(value), ".6g")
@@ -78,10 +90,6 @@ def thread_count() -> int:
             f"OMNISIM_THREADS must be a positive integer, got {raw!r}"
         )
     return value
-
-
-def _granularity(name: str) -> Granularity:
-    return Granularity.GROUP if name == "group" else Granularity.ELEMENT
 
 
 def _config_payload(config, layout) -> dict:
@@ -106,7 +114,7 @@ def cmd_simulate(args) -> int:
     fading = FadingModel(k_factor_db=args.k_factor_db)  # rejects NaN up front
     parsed = parse_scene(args.config)
     layout = build_layout(parsed.panel)
-    granularity = _granularity(args.granularity)
+    granularity = Granularity(args.granularity)
     started = time.perf_counter()
     if args.optimizer == "greedy":
         outcome = beamforming.greedy_optimize(
@@ -243,12 +251,8 @@ def _write_pgm(cmap, path: str) -> None:
 
 def cmd_linkbudget(args) -> int:
     parsed = parse_scene(args.config)
-    tx_ios = args.tx_ios_db if args.tx_ios_db is not None \
-        else MEASURED_TX_IOS_GAIN_DB
-    ios_rx = args.ios_rx_db if args.ios_rx_db is not None \
-        else MEASURED_IOS_RX_GAIN_DB
     chain = prototype_chain(parsed.scene, ios_gain_db=args.ios_gain_db,
-                            tx_ios_db=tx_ios, ios_rx_db=ios_rx)
+                            tx_ios_db=args.tx_ios_db, ios_rx_db=args.ios_rx_db)
     result = link_budget(chain)
     print(f"tx_power_dbm {_fmt(result.tx_power_dbm)}")
     for name, value in result.items:
@@ -260,9 +264,8 @@ def cmd_linkbudget(args) -> int:
 def cmd_oracle(args) -> int:
     parsed = parse_scene(args.config)
     layout = build_layout(parsed.panel)
-    granularity = _granularity(args.granularity)
-    outcome = beamforming.exhaustive_optimize(parsed.scene, layout,
-                                              parsed.table, granularity)
+    outcome = beamforming.exhaustive_optimize(parsed.scene, layout, parsed.table,
+                                              Granularity(args.granularity))
     payload = {
         "command": "oracle",
         "config_file": args.config,
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["greedy", "exhaustive", "random", "statistical"])
     sim.add_argument("--granularity", default="group",
                      choices=["element", "group"])
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_non_negative_int, default=0)
     sim.add_argument("--sweeps", type=int, default=10)
     sim.add_argument("--trials", type=int, default=100)
     sim.add_argument("--samples", type=int, default=100)
@@ -315,10 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     lb = sub.add_parser("linkbudget", help="itemized received-power chain")
     lb.add_argument("--config", required=True)
     lb.add_argument("--ios-gain-db", type=_finite_float, required=True)
-    lb.add_argument("--tx-ios-db", type=_finite_float, default=None,
-                    help="override the Tx->panel channel gain item")
-    lb.add_argument("--ios-rx-db", type=_finite_float, default=None,
-                    help="override the panel->Rx channel gain item")
+    lb.add_argument("--tx-ios-db", type=_finite_float,
+                    default=MEASURED_TX_IOS_GAIN_DB,
+                    help="Tx->panel channel gain item (default: measured)")
+    lb.add_argument("--ios-rx-db", type=_finite_float,
+                    default=MEASURED_IOS_RX_GAIN_DB,
+                    help="panel->Rx channel gain item (default: measured)")
     lb.set_defaults(func=cmd_linkbudget)
 
     orc = sub.add_parser("oracle", help="guarded exhaustive search")

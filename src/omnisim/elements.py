@@ -109,9 +109,6 @@ class StateTable:
     def amplitudes(self, side: Side) -> np.ndarray:
         return np.array([s.amplitude(side) for s in self.states])
 
-    def phases(self, side: Side) -> np.ndarray:
-        return np.array([s.phase(side) for s in self.states])
-
     @cached_property
     def coefficient_matrix(self) -> np.ndarray:
         """(2, P) complex lookup: row 0 reflection, row 1 refraction."""
@@ -119,15 +116,6 @@ class StateTable:
             [[s.coefficient(Side.REFLECTION) for s in self.states],
              [s.coefficient(Side.REFRACTION) for s in self.states]]
         )
-
-
-def response(table: StateTable, state: int, side: Side) -> complex:
-    """Complex coefficient applied by an element in ``state`` toward ``side``."""
-    if not 0 <= state < table.num_states:
-        raise ValidationError(
-            f"state index {state} out of range for a {table.num_states}-state table"
-        )
-    return table.states[state].coefficient(side)
 
 
 @dataclass(frozen=True)
@@ -159,8 +147,7 @@ class TableValidation:
         return [e for e in self.entries if not e.ok]
 
 
-def validate_table(table: StateTable,
-                   power_tolerance: float = POWER_TOLERANCE) -> TableValidation:
+def validate_table(table: StateTable) -> TableValidation:
     """Check passivity and amp^2-vs-declared-power consistency per state.
 
     Never raises; failures are carried in the report.
@@ -171,7 +158,7 @@ def validate_table(table: StateTable,
                  if pair.declared_reflection_power is not None else None)
         res_t = (abs(pair.refraction_amp ** 2 - pair.declared_refraction_power)
                  if pair.declared_refraction_power is not None else None)
-        power_ok = all(r <= power_tolerance for r in (res_r, res_t) if r is not None)
+        power_ok = all(r <= POWER_TOLERANCE for r in (res_r, res_t) if r is not None)
         entries.append(StateValidation(
             index=i,
             power_sum=pair.power_sum,

@@ -6,8 +6,9 @@ import pytest
 
 from omnisim import (CoefficientPair, Configuration, CoverageGrid, PanelSpec,
                      Scene, Side, SideUndefinedError, StateTable,
-                     ValidationError, build_layout, cascaded_channel,
-                     coverage_map, quantize_phase, radiation_pattern, snr_at)
+                     ValidationError, assemble_channel, build_layout,
+                     channel_geometry, coverage_map, quantize_phase,
+                     radiation_pattern, snr_at)
 from omnisim.analysis import _pattern_angles, pattern_power
 from omnisim.scene_io import parse_scene_dict
 
@@ -83,6 +84,28 @@ class TestRadiationPattern:
                  for s in (0, 1)]
         assert power[1] / power[0] == pytest.approx((0.55 / 0.46) ** 2,
                                                     rel=1e-9)
+
+    def test_elevation_beam_is_wider_than_azimuth_beam(self, normal_incidence):
+        """The panel is 0.92 m along u (azimuth cut) and 0.28 m along v
+        (elevation cut), so the elevation beam is ~3.3x wider; a swapped
+        u/v axis would make it the narrower one."""
+        parsed, layout = normal_incidence
+        config = Configuration.uniform(layout.num_elements, 0)
+        widths = {}
+        for cut in ("azimuth", "elevation"):
+            sweep = radiation_pattern(parsed.scene, layout, parsed.table, config,
+                                      Side.REFLECTION, cut=cut, step_deg=0.2)
+            angles = np.array([s.angle_deg for s in sweep])
+            power_db = np.array([s.power_db for s in sweep])
+            assert sweep.peak_angle() == 0.0
+            assert np.allclose(power_db, power_db[::-1], atol=1e-9)
+            main_lobe = angles[power_db >= -3.0]
+            widths[cut] = main_lobe.max() - main_lobe.min()
+        aperture = {"azimuth": parsed.panel.cols * parsed.panel.dx,
+                    "elevation": parsed.panel.rows * parsed.panel.dy}
+        assert widths["elevation"] > widths["azimuth"]
+        assert widths["elevation"] / widths["azimuth"] == pytest.approx(
+            aperture["azimuth"] / aperture["elevation"], rel=0.1)
 
     def test_single_element_pattern_is_flat(self):
         panel = PanelSpec(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1,
@@ -292,8 +315,8 @@ class TestAnalysisMatchesChannel:
         """Linear SNR of a one-user scene at ``point``, without the antenna
         and LNA gains."""
         scene = self.scene_at(point)
-        entries = cascaded_channel(scene, build_layout(self.PANEL),
-                                   self.TABLE, self.CONFIG).entries
+        geometry = channel_geometry(scene, build_layout(self.PANEL))
+        entries = assemble_channel(geometry, self.TABLE, self.CONFIG)
         return (scene.tx_power_w * float(np.sum(np.abs(entries) ** 2))
                 / scene.noise_power_w)
 

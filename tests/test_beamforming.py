@@ -6,7 +6,8 @@ import pytest
 from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
                      PanelSpec, RankDeficientChannelError, Scene,
                      SearchSpaceError, StateTable, TooManyUsersError,
-                     build_layout, evaluate_rates, exhaustive_optimize,
+                     assemble_channel, build_layout, channel_geometry,
+                     evaluate_rates, exhaustive_optimize,
                      greedy_optimize, prototype_state_table, random_baseline,
                      relaxed_upper_bound, statistical_optimize, sum_rate,
                      zf_precoder)
@@ -103,8 +104,7 @@ class TestSumRate:
         scene, layout = small_scene(units=4, k_users=1, nt=1, seed=3)
         table = prototype_state_table()
         config = Configuration.uniform(layout.num_elements, 1)
-        from omnisim import cascaded_channel
-        h = cascaded_channel(scene, layout, table, config).entries[0, 0]
+        h = assemble_channel(channel_geometry(scene, layout), table, config)[0, 0]
         expected = math.log2(1 + scene.tx_power_w * abs(h) ** 2
                              / scene.noise_power_w)
         assert sum_rate(scene, layout, table, config) == pytest.approx(expected)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from omnisim import (CoefficientPair, Configuration, FadingModel,
                      InvalidSceneError, LinkBudgetChain, PanelSpec, Scene,
-                     StateTable, ValidationError, build_layout,
-                     cascaded_channel, channel_geometry, friis_gain,
-                     link_budget, noise_power, prototype_state_table, response)
+                     StateTable, ValidationError, assemble_channel,
+                     build_layout, channel_geometry, friis_gain, link_budget,
+                     noise_power, prototype_state_table, side_of)
 from omnisim.channel import SPEED_OF_LIGHT, draw_realizations
 
 WAVELENGTH_3G6 = SPEED_OF_LIGHT / 3.6e9
@@ -17,6 +17,10 @@ WAVELENGTH_3G6 = SPEED_OF_LIGHT / 3.6e9
 def tiny_panel(rows=1, cols=1, normal=(0, 0, 1.0), dx=0.04, dy=0.04):
     return PanelSpec(center=[0, 0, 0], normal=normal, rows=rows, cols=cols,
                      dx=dx, dy=dy, group_rows=1, group_cols=1)
+
+
+def cascaded(scene, layout, table, config):
+    return assemble_channel(channel_geometry(scene, layout), table, config)
 
 
 def make_scene(panel, bs, users, **kw):
@@ -109,8 +113,8 @@ class TestCascadedChannel:
     def test_unit_chain_magnitude_and_phase(self):
         scene, table = self.unit_chain_scene()
         layout = build_layout(scene.panel)
-        H = cascaded_channel(scene, layout, table, Configuration.uniform(1, 0))
-        entry = H.entries[0, 0]
+        H = cascaded(scene, layout, table, Configuration.uniform(1, 0))
+        entry = H[0, 0]
         d = WAVELENGTH_3G6 / (4 * math.pi)
         assert abs(entry) == pytest.approx(1.0, abs=1e-12)
         assert entry == pytest.approx(np.exp(-4j * math.pi * d / WAVELENGTH_3G6))
@@ -121,10 +125,10 @@ class TestCascadedChannel:
         table = prototype_state_table()
         d1, d2 = 1.3, 0.8
         scene = make_scene(panel, [0, 0, d1], [0, 0, -d2])
-        H = cascaded_channel(scene, layout, table, Configuration.uniform(1, 1))
+        H = cascaded(scene, layout, table, Configuration.uniform(1, 1))
         expected = (WAVELENGTH_3G6 / (4 * math.pi * d1)) * 0.81 * \
                    (WAVELENGTH_3G6 / (4 * math.pi * d2))
-        assert abs(H.entries[0, 0]) == pytest.approx(expected, rel=1e-12)
+        assert abs(H[0, 0]) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_coefficients_give_zero_matrix(self):
         panel = tiny_panel(rows=2, cols=3)
@@ -132,8 +136,8 @@ class TestCascadedChannel:
         table = StateTable(states=(CoefficientPair(0.0, 0.0, 0.0, 0.0),))
         scene = make_scene(panel, [0.2, 0, 1.0], [[0.3, 0.1, -0.8],
                                                   [0.1, -0.2, 0.9]])
-        H = cascaded_channel(scene, layout, table, Configuration.uniform(6, 0))
-        assert np.all(H.entries == 0)
+        H = cascaded(scene, layout, table, Configuration.uniform(6, 0))
+        assert np.all(H == 0)
 
     def test_matches_per_element_brute_force(self, prototype):
         """Independent oracle: explicit python sum over elements."""
@@ -144,17 +148,17 @@ class TestCascadedChannel:
                            [[0.4, 0.3, -0.9], [-0.2, 0.5, 1.2]])
         gen = np.random.default_rng(42)
         config = Configuration(states=tuple(gen.integers(0, 2, 12)))
-        H = cascaded_channel(scene, layout, table, config)
+        H = cascaded(scene, layout, table, config)
         lam = scene.wavelength
         for k, user in enumerate(scene.users):
-            side = scene.side_of_point(user)
+            side = side_of(scene.panel, scene.bs_antennas[0], user)
             for n, ant in enumerate(scene.bs_antennas):
                 total = 0j
                 for m, pos in enumerate(layout.positions):
                     g1 = friis_gain(float(np.linalg.norm(ant - pos)), lam)
                     g2 = friis_gain(float(np.linalg.norm(pos - user)), lam)
-                    total += g1 * response(table, config.states[m], side) * g2
-                assert H.entries[k, n] == pytest.approx(total, rel=1e-10)
+                    total += g1 * table.states[config.states[m]].coefficient(side) * g2
+                assert H[k, n] == pytest.approx(total, rel=1e-10)
 
     def test_superposition_zeroing_one_element(self, prototype):
         panel = tiny_panel(rows=2, cols=2)
@@ -163,17 +167,16 @@ class TestCascadedChannel:
         # three-state table: the extra state is dark (zero both sides)
         base = prototype.table.states
         table = StateTable(states=base + (CoefficientPair(0.0, 0.0, 0.0, 0.0),))
-        full = cascaded_channel(scene, layout, table,
-                                Configuration(states=(1, 0, 1, 1)))
-        dark2 = cascaded_channel(scene, layout, table,
-                                 Configuration(states=(1, 0, 2, 1)))
+        full = cascaded(scene, layout, table, Configuration(states=(1, 0, 1, 1)))
+        dark2 = cascaded(scene, layout, table, Configuration(states=(1, 0, 2, 1)))
         lam = scene.wavelength
         user = scene.users[0]
         pos = layout.positions[2]
         g1 = friis_gain(float(np.linalg.norm(scene.bs_antennas[0] - pos)), lam)
         g2 = friis_gain(float(np.linalg.norm(pos - user)), lam)
-        term = g1 * response(table, 1, scene.side_of_point(user)) * g2
-        assert (full.entries - dark2.entries)[0, 0] == pytest.approx(term, rel=1e-10)
+        side = side_of(scene.panel, scene.bs_antennas[0], user)
+        term = g1 * table.states[1].coefficient(side) * g2
+        assert (full - dark2)[0, 0] == pytest.approx(term, rel=1e-10)
 
     def test_mirrored_users_amplitude_ratio(self, prototype):
         """One user per side, mirrored: per-entry magnitudes differ exactly
@@ -184,9 +187,8 @@ class TestCascadedChannel:
         scene = make_scene(panel, [0.0, 0.2, 1.1],
                            [[0.25, 0.4, 0.8], [0.25, 0.4, -0.8]])
         for state in (0, 1):
-            H = cascaded_channel(scene, layout, table,
-                                 Configuration.uniform(16, state))
-            ratio = abs(H.entries[1, 0]) / abs(H.entries[0, 0])
+            H = cascaded(scene, layout, table, Configuration.uniform(16, state))
+            ratio = abs(H[1, 0]) / abs(H[0, 0])
             pair = table.states[state]
             assert ratio == pytest.approx(pair.refraction_amp /
                                           pair.reflection_amp, rel=1e-12)
@@ -197,11 +199,11 @@ class TestCascadedChannel:
         table = StateTable(states=(CoefficientPair(0.0, 0.0, 0.0, 0.0),))
         users = [[0.3, 0.0, 0.9], [0.3, 0.0, -0.9]]
         on = make_scene(panel, [0, 0, 1.0], users, direct_path=True)
-        H = cascaded_channel(on, layout, table, Configuration.uniform(1, 0))
+        H = cascaded(on, layout, table, Configuration.uniform(1, 0))
         d = np.linalg.norm(np.array([0.3, 0, 0.9]) - [0, 0, 1.0])
-        assert H.entries[0, 0] == pytest.approx(
+        assert H[0, 0] == pytest.approx(
             friis_gain(float(d), on.wavelength))
-        assert H.entries[1, 0] == 0  # refraction side never sees the BS
+        assert H[1, 0] == 0  # refraction side never sees the BS
 
     def test_plane_wave_mode_unit_amplitude(self):
         panel = tiny_panel(rows=2, cols=2)
@@ -233,6 +235,13 @@ class TestSceneValidation:
                        frequency_hz=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["frequency_hz", "bandwidth_hz",
+                                       "element_factor_q"])
+    def test_rejects_non_finite_physics(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            make_scene(tiny_panel(), [0, 0, 1.0], [0, 0, -1.0], **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["tx_power_dbm", "noise_figure_db", "tx_gain_db",
                                        "rx_gain_db", "lna_gain_db"])
     def test_rejects_non_finite_powers_and_gains(self, field, value):
@@ -254,8 +263,8 @@ class TestElementFactor:
         base = make_scene(panel, [0, 0, 2.0], [1.5, 0, 0.4])
         shaped = make_scene(panel, [0, 0, 2.0], [1.5, 0, 0.4],
                             element_factor_q=2.0)
-        h_base = cascaded_channel(base, layout, table, config).entries[0, 0]
-        h_shaped = cascaded_channel(shaped, layout, table, config).entries[0, 0]
+        h_base = cascaded(base, layout, table, config)[0, 0]
+        h_shaped = cascaded(shaped, layout, table, config)[0, 0]
         assert abs(h_shaped) < abs(h_base)
 
     def test_q_zero_leaves_gains_untouched(self):
@@ -266,8 +275,8 @@ class TestElementFactor:
         plain = make_scene(panel, [0.2, 0, 1.5], [0.4, 0.1, -0.8])
         explicit = make_scene(panel, [0.2, 0, 1.5], [0.4, 0.1, -0.8],
                               element_factor_q=0.0)
-        a = cascaded_channel(plain, layout, table, config).entries
-        b = cascaded_channel(explicit, layout, table, config).entries
+        a = cascaded(plain, layout, table, config)
+        b = cascaded(explicit, layout, table, config)
         assert np.array_equal(a, b)
 
 

@@ -122,6 +122,18 @@ class TestSimulate:
         assert json.loads(err)["error"]["type"] == "validation"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("optimizer",
+                             ["greedy", "exhaustive", "random", "statistical"])
+    def test_negative_seed_is_validation_error(self, capsys, tmp_path, optimizer):
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "simulate",
+                               "--config", small_scene_file(tmp_path),
+                               "--optimizer", optimizer, "--seed", "-1",
+                               "--out", str(out_path))
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("k_factor", ["inf", "-inf"])
     def test_infinite_k_factors_are_valid(self, capsys, tmp_path, k_factor):
         out_path = tmp_path / "report.json"
@@ -203,6 +215,16 @@ class TestPattern:
         code, _, err = run_cli(capsys, "pattern",
                                "--config", prototype_scene_path(),
                                "--radius-m", radius, "--out", str(out_path))
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "0"])
+    def test_bad_step_is_validation_error(self, capsys, tmp_path, step):
+        out_path = tmp_path / "pattern.csv"
+        code, _, err = run_cli(capsys, "pattern",
+                               "--config", prototype_scene_path(),
+                               "--step-deg", step, "--out", str(out_path))
         assert code == 2
         assert json.loads(err)["error"]["type"] == "validation"
         assert not out_path.exists()

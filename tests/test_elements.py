@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from omnisim import (CoefficientPair, Configuration, Granularity, PanelSpec,
                      Side, StateTable, ValidationError, build_layout,
-                     prototype_state_table, quantize_phase, response,
-                     validate_table)
+                     prototype_state_table, quantize_phase, validate_table)
 
 
 def single_state_table(r_amp=1.0, t_amp=1.0, r_phase=0.0, t_phase=0.0):
@@ -18,29 +17,25 @@ def single_state_table(r_amp=1.0, t_amp=1.0, r_phase=0.0, t_phase=0.0):
 
 class TestResponse:
     def test_prototype_state1_reflection(self):
-        got = response(prototype_state_table(), 0, Side.REFLECTION)
+        got = prototype_state_table().states[0].coefficient(Side.REFLECTION)
         expected = 0.46 * np.exp(1j * math.radians(20.0))
         assert got == pytest.approx(expected)
 
     def test_prototype_state2_refraction(self):
-        got = response(prototype_state_table(), 1, Side.REFRACTION)
+        got = prototype_state_table().states[1].coefficient(Side.REFRACTION)
         expected = 0.81 * np.exp(1j * math.radians(123.0))
         assert got == pytest.approx(expected)
 
     def test_identity_single_state(self):
         table = single_state_table()
-        assert response(table, 0, Side.REFLECTION) == pytest.approx(1 + 0j)
-        assert response(table, 0, Side.REFRACTION) == pytest.approx(1 + 0j)
-
-    def test_out_of_range_state(self):
-        with pytest.raises(ValidationError):
-            response(prototype_state_table(), 2, Side.REFLECTION)
+        assert table.states[0].coefficient(Side.REFLECTION) == pytest.approx(1 + 0j)
+        assert table.states[0].coefficient(Side.REFRACTION) == pytest.approx(1 + 0j)
 
     def test_magnitude_never_exceeds_one(self):
         table = prototype_state_table()
-        for i in range(table.num_states):
+        for pair in table.states:
             for side in Side:
-                assert abs(response(table, i, side)) <= 1.0
+                assert abs(pair.coefficient(side)) <= 1.0
 
 
 class TestValidateTable:
