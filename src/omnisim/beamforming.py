@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelGeometry, ChannelKernel, FadingModel,
+from .channel import (PASS_ENTRIES, ChannelGeometry, ChannelKernel, FadingModel,
                       FadingRealization, Scene, channel_geometry,
                       draw_realizations, ordered_sum)
 from .elements import Configuration, Granularity, StateTable
@@ -180,10 +180,6 @@ class _UnitProblem:
             self.num_units = layout.num_groups
         else:
             self.num_units = layout.num_elements
-            # each element's position among its group's members
-            members = self.kernel.members
-            self.position = np.empty(layout.num_elements, dtype=np.int64)
-            self.position[members] = np.arange(members.shape[1])
         self.evaluations = 0
         self.degenerate_evaluations = 0
 
@@ -193,29 +189,33 @@ class _UnitProblem:
             return self.kernel.group_state_partials(unit_states)
         return self.kernel.element_partials(unit_states)
 
-    def unit_partials(self, states: np.ndarray, unit: int,
-                      candidates: np.ndarray) -> tuple[int, np.ndarray]:
-        """(group, partials) of the one group that changes when ``unit`` of
-        ``states`` takes each of ``candidates``; only that group is recomputed."""
+    def flips(self, states: np.ndarray, units: np.ndarray,
+              new_states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B,) groups and (B, R, K, Nt) partials of the one group each row
+        changes: unit ``units[b]`` of ``states`` takes ``new_states[b]``."""
         if self.granularity is Granularity.GROUP:
-            return unit, self.kernel.state_tables[unit][candidates]
-        group = int(self.layout.group_of[unit])
-        member_states = np.repeat(states[None, self.kernel.members[group]],
-                                  len(candidates), axis=0)
-        member_states[:, self.position[unit]] = candidates
-        return group, self.kernel.partials(member_states[:, None], slice(group, group + 1))[0]
+            return units, self.kernel.state_tables[units, new_states]
+        groups = self.layout.group_of[units]
+        members = self.kernel.members[groups]  # (B, m)
+        member_states = states[members]
+        member_states[members == units[:, None]] = new_states
+        return groups, self.kernel.partials(member_states[None], groups)[:, 0]
 
-    def score(self, partials: np.ndarray) -> np.ndarray:
-        """(B,) objectives of the candidates with (G, B, R, K, Nt) group partials."""
+    def score(self, partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B,) objectives and degenerate flags of the candidates with
+        (G, B, R, K, Nt) group partials; :meth:`count` tallies them."""
         H = self.kernel.channels(partials)
-        self.evaluations += len(H)
         if H.shape[1] == 1:  # as evaluate_rates; a unit axis slows ZF's many small calls
             _, total, _, degenerate = _zero_forcing(H[:, 0], *self.powers)
-            self.degenerate_evaluations += int(np.count_nonzero(degenerate))
-            return total
+            return total, degenerate
         _, total, _, degenerate = _zero_forcing(H, *self.powers)
-        self.degenerate_evaluations += int(np.count_nonzero(degenerate.any(axis=1)))
-        return np.array([math.fsum(rates) / len(rates) for rates in total.tolist()])
+        return (np.array([math.fsum(rates) / len(rates) for rates in total.tolist()]),
+                degenerate.any(axis=1))
+
+    def count(self, degenerate: np.ndarray) -> None:
+        """Add the candidates with these degenerate flags to the evaluations."""
+        self.evaluations += len(degenerate)
+        self.degenerate_evaluations += int(np.count_nonzero(degenerate))
 
     def outcome(self, unit_states, objective: float, trace) -> OptimizationOutcome:
         if self.granularity is Granularity.GROUP:
@@ -227,50 +227,65 @@ class _UnitProblem:
                                    degenerate_evaluations=self.degenerate_evaluations)
 
 
-def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int):
-    """One-at-a-time coordinate ascent over unit states.
+def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcome:
+    """One-at-a-time coordinate ascent over unit states, from all zeros.
 
     Each unit keeps its current state on ties; among strictly better states
-    the lowest index wins.  A unit's other states are scored as one batch.
-    Returns (unit_states, trace).
+    the lowest index wins.  The other states of a window of the next units
+    are scored as one batch against the current state: the first unit that
+    improves moves, the rows after it are dropped uncounted, and the next
+    window starts after it.  Scores do not depend on the batch, so this is
+    exactly the unit-by-unit search.  The window halves after a move and
+    doubles after none, up to the rows one ``PASS_ENTRIES`` pass holds.
     """
     if max_sweeps < 1:
         raise ValidationError("max_sweeps must be at least 1")
     states = np.zeros(problem.num_units, dtype=np.int64)
     partials = problem.partials(states[None])  # (G, 1, R, K, Nt)
-    current = float(problem.score(partials)[0])
+    values, degenerate = problem.score(partials)
+    problem.count(degenerate)
+    current = float(values[0])
     trace = [(0, current)]
-    others = [np.delete(np.arange(problem.num_states), s)
-              for s in range(problem.num_states)]
+    offsets = np.arange(problem.num_states - 1)  # one row per other state
+    width = len(offsets)
+    limit = max(1, PASS_ENTRIES // (max(width, 1) * problem.kernel.members.shape[1]
+                                    * problem.kernel.channel_size))
+    window = 1
     for sweep in range(1, max_sweeps + 1):
         before = current
-        for unit in range(problem.num_units):
-            candidates = others[states[unit]]
-            if not len(candidates):
-                continue
-            group, changed = problem.unit_partials(states, unit, candidates)
-            trial = np.repeat(partials, len(candidates), axis=1)
-            trial[group] = changed
-            values = problem.score(trial)
-            best = int(np.argmax(values))
-            if values[best] > current:
-                states[unit] = candidates[best]
-                current = float(values[best])
-                partials[group] = changed[best]
+        start = 0
+        while width and start < problem.num_units:
+            units = np.arange(start, min(start + window, problem.num_units))
+            new_states = offsets + (offsets >= states[units, None])  # (W, P - 1)
+            groups, changed = problem.flips(states, units.repeat(width), new_states.ravel())
+            trial = np.repeat(partials, len(groups), axis=1)
+            trial[groups, np.arange(len(groups))] = changed
+            values, degenerate = problem.score(trial)
+            values = values.reshape(len(units), width)
+            improving = np.flatnonzero(values.max(axis=1) > current)
+            decided = int(improving[0]) + 1 if len(improving) else len(units)
+            problem.count(degenerate[:decided * width])
+            start += decided
+            if len(improving):  # unit start - 1 takes its best state, the lowest if tied
+                row = (decided - 1) * width + int(np.argmax(values[decided - 1]))
+                states[start - 1] = new_states.flat[row]
+                current = float(values.flat[row])
+                partials[groups[row]] = changed[row]
+                window = max(1, window // 2)
+            else:
+                window = min(2 * window, limit)
         trace.append((sweep, current))
         improvement = (current - before) / max(abs(before), 1e-30)
         if improvement < CONVERGENCE_EPSILON:
             break
-    return states.tolist(), trace
+    return problem.outcome(states.tolist(), current, trace)
 
 
 def greedy_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
                     granularity: Granularity = Granularity.ELEMENT,
                     max_sweeps: int = 10) -> OptimizationOutcome:
     """Coordinate-ascent sweeps over unit states, starting from all zeros."""
-    problem = _UnitProblem(scene, layout, table, granularity)
-    states, trace = _greedy_sweeps(problem, max_sweeps)
-    return problem.outcome(states, trace[-1][1], trace)
+    return _greedy_sweeps(_UnitProblem(scene, layout, table, granularity), max_sweeps)
 
 
 def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
@@ -291,8 +306,9 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     best_index, best_value = 0, -math.inf
     for start in range(0, space, BATCH):
         index = np.arange(start, min(start + BATCH, space))
-        values = problem.score(problem.partials(
+        values, degenerate = problem.score(problem.partials(
             index[:, None] // digits % problem.num_states))
+        problem.count(degenerate)
         best = int(np.argmax(values))
         if values[best] > best_value:
             best_index, best_value = start + best, float(values[best])
@@ -316,7 +332,8 @@ def random_baseline(scene: Scene, layout: ElementLayout, table: StateTable,
         draws = np.empty((min(BATCH, trials - start), problem.num_units), dtype=np.int64)
         for row in draws:
             row[:] = rng.integers(0, problem.num_states, size=problem.num_units)
-        values = problem.score(problem.partials(draws))
+        values, degenerate = problem.score(problem.partials(draws))
+        problem.count(degenerate)
         for t, value in enumerate(values.tolist(), start):
             if value > best_value:
                 best_states, best_value = draws[t - start].tolist(), value
@@ -366,5 +383,4 @@ def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     elif num_samples < 1:
         raise ValidationError("num_samples must be at least 1")
     problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
-    states, trace = _greedy_sweeps(problem, max_sweeps)
-    return problem.outcome(states, trace[-1][1], trace)
+    return _greedy_sweeps(problem, max_sweeps)

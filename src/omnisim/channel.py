@@ -399,9 +399,9 @@ class ChannelKernel:
         return (np.moveaxis(g2, (-2, -1), (0, 1))[:, :, None],
                 np.moveaxis(g1, (-2, -1), (0, 1))[:, :, None, :, None, :])
 
-    def partials(self, member_states: np.ndarray, groups=slice(None)) -> np.ndarray:
-        """(g, B, R, K, Nt) partial channels of ``groups`` for (B, g, m)
-        states of their members."""
+    def partials(self, member_states: np.ndarray, groups) -> np.ndarray:
+        """(g, B, R, K, Nt) partial channels of ``groups``, a slice or an index
+        array that may repeat a group, for (B, g, m) states of their members."""
         to_user, from_bs = (gain[:, groups] for gain in self.gains)
         gamma = self.coefficients[self.sides, member_states.T[..., None, None]]  # (m, g, B, 1, K)
         return ordered_sum((gamma * to_user)[..., None] * from_bs)

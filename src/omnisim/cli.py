@@ -58,16 +58,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for seeds: numpy generators take no negative seed."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for an integer of at least ``minimum``: 0 for seeds
+    (numpy generators take no negative seed), 1 for counts."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _fmt(value) -> str:
@@ -289,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["greedy", "exhaustive", "random", "statistical"])
     sim.add_argument("--granularity", default="group",
                      choices=["element", "group"])
-    sim.add_argument("--seed", type=_non_negative_int, default=0)
-    sim.add_argument("--sweeps", type=int, default=10)
-    sim.add_argument("--trials", type=int, default=100)
-    sim.add_argument("--samples", type=int, default=100)
+    sim.add_argument("--seed", type=_int_at_least(0), default=0)
+    sim.add_argument("--sweeps", type=_int_at_least(1), default=10)
+    sim.add_argument("--trials", type=_int_at_least(1), default=100)
+    sim.add_argument("--samples", type=_int_at_least(1), default=100)
     sim.add_argument("--k-factor-db", type=float, default=10.0,
                      help="Rician K-factor for the statistical optimizer")
     sim.add_argument("--out", default=None)

@@ -276,11 +276,17 @@ class TestDegenerateAccounting:
                       tx_power_dbm=scene.tx_power_dbm,
                       bandwidth_hz=scene.bandwidth_hz)
         table = prototype_state_table()
-        for out in (greedy_optimize(twins, layout, table, Granularity.GROUP),
-                    greedy_optimize(twins, layout, table, Granularity.ELEMENT),
-                    exhaustive_optimize(twins, layout, table, Granularity.GROUP),
-                    random_baseline(twins, layout, table, trials=9, seed=1)):
-            assert out.evaluations > 0
+        groups, elements = layout.num_groups, layout.num_elements
+        runs = [  # greedy stops after one sweep: no move beats a rate of 0
+            (greedy_optimize(twins, layout, table, Granularity.GROUP), 1 + groups),
+            (greedy_optimize(twins, layout, table, Granularity.ELEMENT), 1 + elements),
+            (statistical_optimize(twins, layout, table, FadingModel(), 5, 0,
+                                  Granularity.ELEMENT), 1 + elements),
+            (exhaustive_optimize(twins, layout, table, Granularity.GROUP), 2 ** groups),
+            (exhaustive_optimize(twins, layout, table, Granularity.ELEMENT), 2 ** elements),
+            (random_baseline(twins, layout, table, trials=9, seed=1), 9)]
+        for out, evaluations in runs:
+            assert out.evaluations == evaluations
             assert out.degenerate_evaluations == out.evaluations
             assert out.objective == 0.0
 
@@ -373,6 +379,6 @@ class TestStatisticalOptimize:
         realizations = draw_realizations(model, geometry, 13, 200)
         problem = _UnitProblem(scene, layout, table, Granularity.GROUP,
                                geometry, realizations)
-        zero, chosen = problem.score(problem.partials(np.array(
+        (zero, chosen), _ = problem.score(problem.partials(np.array(
             [[0] * problem.num_units, out.config.group_states(layout)])))
         assert chosen >= zero

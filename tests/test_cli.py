@@ -134,6 +134,23 @@ class TestSimulate:
         assert json.loads(err)["error"]["type"] == "validation"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("optimizer",
+                             ["greedy", "exhaustive", "random", "statistical"])
+    @pytest.mark.parametrize("flag", ["--sweeps", "--trials", "--samples"])
+    @pytest.mark.parametrize("value", ["0", "-1", "2.5"])
+    def test_non_positive_count_is_validation_error(self, capsys, tmp_path, optimizer,
+                                                    flag, value):
+        """Every optimizer rejects the count flags, used or not: the report
+        records them all."""
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "simulate",
+                               "--config", small_scene_file(tmp_path),
+                               "--optimizer", optimizer, flag, value,
+                               "--out", str(out_path))
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("k_factor", ["inf", "-inf"])
     def test_infinite_k_factors_are_valid(self, capsys, tmp_path, k_factor):
         out_path = tmp_path / "report.json"

@@ -11,6 +11,7 @@ direct path.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,6 +68,36 @@ def scenes(draw, max_groups=4):
 granularities = st.sampled_from([Granularity.GROUP, Granularity.ELEMENT])
 
 
+def sequential_greedy(problem, max_sweeps=10):
+    """Reference coordinate ascent: one unit at a time, each candidate scored
+    from its full states.  Returns (states, trace, evaluations, degenerate)."""
+    states = [0] * problem.num_units
+    counts = [0, 0]
+
+    def score(candidates):
+        values, degenerate = problem.score(problem.partials(np.array(candidates)))
+        counts[0] += len(values)
+        counts[1] += int(np.count_nonzero(degenerate))
+        return values.tolist()
+
+    current = score([states])[0]
+    trace = [(0, current)]
+    for sweep in range(1, max_sweeps + 1):
+        before = current
+        for unit in range(problem.num_units):
+            others = [s for s in range(problem.num_states) if s != states[unit]]
+            if not others:
+                continue
+            values = score([states[:unit] + [s] + states[unit + 1:] for s in others])
+            best = max(range(len(others)), key=values.__getitem__)  # first maximum
+            if values[best] > current:
+                states[unit], current = others[best], values[best]
+        trace.append((sweep, current))
+        if (current - before) / max(abs(before), 1e-30) < beamforming.CONVERGENCE_EPSILON:
+            break
+    return states, trace, counts[0], counts[1]
+
+
 def unit_config(layout, granularity, unit_states):
     if granularity is Granularity.GROUP:
         return Configuration.from_group_states(layout, unit_states)
@@ -90,16 +121,48 @@ class TestBatchInvariance:
         problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
         gen = np.random.default_rng(seed)
         candidates = gen.integers(0, table.num_states, (size, problem.num_units))
-        batch = problem.score(problem.partials(candidates))
+        batch, degenerate = problem.score(problem.partials(candidates))
         offset = int(gen.integers(0, size))
-        shifted = problem.score(problem.partials(candidates[offset:]))
+        shifted, shifted_degenerate = problem.score(problem.partials(candidates[offset:]))
         assert np.array_equal(shifted, batch[offset:])
+        assert np.array_equal(shifted_degenerate, degenerate[offset:])
         for i in sorted({0, offset, size - 1}):
-            alone = problem.score(problem.partials(candidates[i:i + 1]))
+            alone, _ = problem.score(problem.partials(candidates[i:i + 1]))
             assert alone[0] == batch[i]
             if not faded:
                 config = unit_config(layout, granularity, candidates[i].tolist())
                 assert sum_rate(scene, layout, table, config) == batch[i]
+
+    @given(scenes(), granularities, st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    @example(make_scene(7, 1, 1, 3, 1, 2, False), Granularity.ELEMENT, 20, 0, False)
+    @example(make_scene(7, 1, 1, 3, 1, 2, True), Granularity.ELEMENT, 20, 0, True)
+    @settings(max_examples=40)
+    def test_flips_equal_partials_of_the_flipped_states(self, world, granularity, size,
+                                                        seed, faded):
+        """Each row of a flip gather, in the batch and alone, has the bits of
+        its group's partial computed from the flipped states.  The examples
+        are one-element groups with K = 1: a row alone is a single product."""
+        scene, layout, table = world
+        geometry = channel_geometry(scene, layout)
+        realizations = ()
+        if faded:
+            realizations = draw_realizations(FadingModel(6.0), geometry, seed % 1000, 2)
+        problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
+        gen = np.random.default_rng(seed)
+        states = gen.integers(0, table.num_states, problem.num_units)
+        units = gen.integers(0, problem.num_units, size)
+        new_states = gen.integers(0, table.num_states, size)
+        groups, rows = problem.flips(states, units, new_states)
+        for i, (group, unit, new_state) in enumerate(zip(groups, units, new_states)):
+            assert group == (unit if granularity is Granularity.GROUP
+                             else layout.group_of[unit])
+            flipped = states.copy()
+            flipped[unit] = new_state
+            expected = problem.partials(flipped[None])[group, 0]
+            assert np.array_equal(rows[i], expected)
+            assert np.array_equal(problem.flips(states, units[i:i + 1],
+                                                new_states[i:i + 1])[1][0], expected)
 
     @pytest.mark.parametrize("num_samples", [1, 4, 5, 9])
     @given(scenes(), granularities, st.integers(0, 2 ** 32 - 1))
@@ -167,3 +230,50 @@ class TestOptimizerInvariants:
         monkeypatch.setattr(beamforming, "BATCH", 3)
         out = exhaustive_optimize(scene, layout, table, Granularity.GROUP)
         assert out.config.group_states(layout) == (0, 0, 0, 0)
+
+
+class TestSpeculativeGreedy:
+    @given(scenes(max_groups=6), granularities, st.sampled_from([0, 1, 3]),
+           st.sampled_from([1, 40, beamforming.PASS_ENTRIES]), st.integers(0, 2 ** 32 - 1))
+    @example(make_scene(7, 1, 1, 5, 1, 2, True), Granularity.ELEMENT, 0,
+             beamforming.PASS_ENTRIES, 0)
+    @example(make_scene(7, 1, 1, 5, 1, 3, False), Granularity.ELEMENT, 3,
+             beamforming.PASS_ENTRIES, 0)
+    @settings(max_examples=60)
+    def test_windows_equal_one_unit_at_a_time(self, world, granularity, num_samples,
+                                              pass_entries, seed):
+        """States, trace and both counts are bitwise those of the sequential
+        reference, with fading (statistical, R samples) and without, and for
+        window caps from one unit up.  The examples have one-element groups
+        and K = 1, where every fading product is a single entry."""
+        scene, layout, table = world
+        geometry = channel_geometry(scene, layout)
+        realizations = ()
+        with mock.patch.object(beamforming, "PASS_ENTRIES", pass_entries):
+            if num_samples:
+                model = FadingModel(6.0)
+                out = statistical_optimize(scene, layout, table, model, num_samples,
+                                           seed, granularity)
+                realizations = draw_realizations(model, geometry, seed, num_samples)
+            else:
+                out = greedy_optimize(scene, layout, table, granularity)
+        problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
+        states, trace, evaluations, degenerate = sequential_greedy(problem)
+        assert out.config == unit_config(layout, granularity, states)
+        assert out.trace == tuple(trace)
+        assert out.objective == trace[-1][1]
+        assert out.evaluations == evaluations
+        assert out.degenerate_evaluations == degenerate
+
+    @pytest.mark.parametrize("granularity", [Granularity.GROUP, Granularity.ELEMENT])
+    def test_tied_states_move_to_the_lowest(self, granularity):
+        """States 1 and 2 are identical, so they tie on every unit: a unit
+        that moves takes state 1, and never leaves it for state 2."""
+        scene, layout, table = make_scene(seed=11, nt=2, k_users=2, groups=4,
+                                          group_cols=2, num_states=2, direct_path=False)
+        table = StateTable(states=(*table.states, table.states[1]))
+        out = greedy_optimize(scene, layout, table, granularity)
+        states, trace, _, _ = sequential_greedy(_UnitProblem(scene, layout, table, granularity))
+        assert out.config == unit_config(layout, granularity, states)
+        assert out.trace == tuple(trace)
+        assert 1 in states and 2 not in states
