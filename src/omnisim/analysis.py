@@ -20,9 +20,8 @@ from .elements import Configuration, StateTable
 from .errors import SideUndefinedError, ValidationError
 from .geometry import ElementLayout, Side
 
-# Points per pass of the field kernel.  Small enough that a pass's
-# (points, M, 3) temporaries (0.5 MB at M = 640) stay in cache and the
-# allocator reuses them, rather than returning them to the OS each pass.
+# Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
+# real, 320 kB complex at M = 640) stay in cache and the allocator reuses them.
 CHUNK_POINTS = 32
 
 
@@ -110,13 +109,12 @@ def _scattered(scene: Scene, layout: ElementLayout, table: StateTable,
     :meth:`Scene.point_sides`.  Points go through in chunks of CHUNK_POINTS,
     spread over ``workers`` threads; the result does not depend on either.
     """
-    states = np.asarray(config.states)[None, :]
+    coefficients = table.coefficient_matrix[:, config.states]  # (2, M), one row per side
     out = np.empty((len(points), geometry.num_antennas), dtype=complex)
 
     def fill(start: int) -> None:
         chunk = slice(start, start + CHUNK_POINTS)
-        side_index = (sides[chunk] < 0).astype(np.intp)
-        gamma = table.coefficient_matrix[side_index[:, None], states]
+        gamma = coefficients[(sides[chunk] < 0).astype(np.intp)]
         gains = _hop_gains(points[chunk], layout, scene)
         out[chunk] = np.multiply(gamma, gains, out=gains) @ geometry.bs_to_element.T
 

@@ -129,13 +129,21 @@ def friis_gain(distance, wavelength: float):
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0):
         raise ValidationError("friis_gain requires positive distance")
-    # amp * exp(-2j pi d / lambda), in place and in that operation order:
-    # a large batch allocates one complex array, not five
-    out = np.multiply(-2j * math.pi, d, out=np.empty(d.shape, dtype=complex))
-    out /= wavelength
+    out = _friis(d, wavelength)
+    return complex(out) if np.isscalar(distance) else out
+
+
+def _friis(d: np.ndarray, wavelength: float) -> np.ndarray:
+    """:func:`friis_gain` of distances the caller has checked are positive."""
+    # amp * exp(-2j pi d / lambda) in one complex array.  The phase goes
+    # straight into its imaginary part as (d * -2 pi) * (1 / lambda): the
+    # bits of -2j pi d / lambda, as numpy divides a complex by a real so.
+    out = np.zeros(d.shape, dtype=complex)
+    phase = np.multiply(d, -2.0 * math.pi, out=out.imag)
+    phase *= 1.0 / wavelength
     np.exp(out, out=out)
     np.multiply(wavelength / (4.0 * math.pi * d), out, out=out)
-    return complex(out) if np.isscalar(distance) else out
+    return out
 
 
 def noise_power(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
@@ -195,18 +203,20 @@ def _hop_gains(points: np.ndarray, layout: ElementLayout, scene: Scene) -> np.nd
     The only element -> point hop: the channel, coverage map, pattern and
     point SNR all go through it.
     """
-    diff = points[:, None, :] - layout.positions[None, :, :]
-    if scene.element_factor_q > 0:
-        along_normal = np.abs(diff @ scene.panel.normal)
-    # |diff| in place, as np.linalg.norm computes it: the (P, M, 3) array is
-    # the largest temporary, so it is freed before the Friis gains exist
-    diff *= diff
-    dist = diff.sum(axis=2)
-    del diff
+    if scene.element_factor_q > 0:  # per-axis products would round differently
+        along_normal = np.abs((points[:, None, :] - layout.positions[None, :, :])
+                              @ scene.panel.normal)
+    # Squared distance per axis, in place: (dx*dx + dy*dy) + dz*dz has the
+    # bits of np.linalg.norm's length-3 sum, without a (P, M, 3) temporary.
+    dist, dy, dz = (np.subtract.outer(p, e) for p, e in zip(points.T, layout.positions.T))
+    dist *= dist
+    dist += np.square(dy, out=dy)
+    dist += np.square(dz, out=dz)
+    del dy, dz
     np.sqrt(dist, out=dist)
     if np.any(dist <= 0):
         raise ValidationError("a terminal coincides with an element position")
-    gains = friis_gain(dist, scene.wavelength)
+    gains = _friis(dist, scene.wavelength)
     if scene.element_factor_q > 0:
         gains *= (along_normal / dist) ** scene.element_factor_q
     return gains

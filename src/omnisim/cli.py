@@ -209,10 +209,6 @@ def _parse_grid(text: str) -> CoverageGrid:
     return CoverageGrid(x0=x0, x1=x1, y0=y0, y1=y1, nx=nx, ny=ny)
 
 
-def _side_name(cell: int) -> str:
-    return {1: "reflection", -1: "refraction", 0: "none"}[int(cell)]
-
-
 def cmd_coverage(args) -> int:
     parsed = parse_scene(args.config)
     layout = build_layout(parsed.panel)
@@ -220,13 +216,11 @@ def cmd_coverage(args) -> int:
     grid = _parse_grid(args.grid)
     cmap = coverage_map(parsed.scene, layout, parsed.table, config, grid,
                         workers=thread_count())
-    xs, ys = grid.xs, grid.ys
+    ys = [_fmt(y) for y in grid.ys]
+    names = {1: "reflection", -1: "refraction", 0: "none"}
     lines = ["x_m,y_m,se_bps_hz,side"]
-    for ix in range(grid.nx):
-        for iy in range(grid.ny):
-            lines.append(f"{_fmt(xs[ix])},{_fmt(ys[iy])},"
-                         f"{_fmt(cmap.values[ix, iy])},"
-                         f"{_side_name(cmap.side[ix, iy])}")
+    for x, values, sides in zip(map(_fmt, grid.xs), cmap.values.tolist(), cmap.side.tolist()):
+        lines.extend(f"{x},{y},{_fmt(v)},{names[s]}" for y, v, s in zip(ys, values, sides))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     if args.pgm:
@@ -236,16 +230,12 @@ def cmd_coverage(args) -> int:
 
 def _write_pgm(cmap, path: str) -> None:
     """8-bit PGM heatmap; masked cells are black, values scale to [min,max]."""
-    values = cmap.values
-    finite = values[np.isfinite(values)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 0.0
-    span = hi - lo
-    pixels = np.zeros(values.shape, dtype=np.uint8)
-    if finite.size:
-        mask = np.isfinite(values)
-        scaled = (values[mask] - lo) / span * 255.0 if span > 0 else 0.0
-        pixels[mask] = np.round(scaled).astype(np.uint8) if span > 0 else 0
+    mask = np.isfinite(cmap.values)
+    finite = cmap.values[mask]
+    pixels = np.zeros(mask.shape, dtype=np.uint8)
+    lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
+    if hi > lo:
+        pixels[mask] = np.round((finite - lo) / (hi - lo) * 255.0).astype(np.uint8)
     # image rows run along y (height ny), columns along x (width nx)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cmap.grid.nx} {cmap.grid.ny}\n255\n".encode("ascii"))

@@ -9,7 +9,7 @@ from omnisim import (CoefficientPair, Configuration, FadingModel,
                      StateTable, ValidationError, assemble_channel,
                      build_layout, channel_geometry, friis_gain, link_budget,
                      noise_power, prototype_state_table, side_of)
-from omnisim.channel import SPEED_OF_LIGHT, draw_realizations
+from omnisim.channel import SPEED_OF_LIGHT, _hop_gains, draw_realizations
 
 WAVELENGTH_3G6 = SPEED_OF_LIGHT / 3.6e9
 
@@ -214,6 +214,62 @@ class TestCascadedChannel:
         assert np.allclose(np.abs(geo.bs_to_element), 1.0)
         # normal incidence: co-phased across the aperture
         assert np.allclose(geo.bs_to_element, geo.bs_to_element[0, 0])
+
+
+class TestHopGains:
+    """``_hop_gains`` keeps the bits of the formula it replaced: one (P, M, 3)
+    difference whose squares are summed over the last axis, the element
+    factor from ``diff @ normal``, and the Friis phase built by a complex
+    multiply and a complex-by-real divide."""
+
+    @staticmethod
+    def reference(points, layout, scene):
+        diff = points[:, None, :] - layout.positions[None, :, :]
+        along_normal = np.abs(diff @ scene.panel.normal)
+        diff *= diff
+        dist = np.sqrt(diff.sum(axis=2))
+        gains = np.multiply(-2j * math.pi, dist, out=np.empty(dist.shape, dtype=complex))
+        gains /= scene.wavelength
+        np.exp(gains, out=gains)
+        np.multiply(scene.wavelength / (4.0 * math.pi * dist), gains, out=gains)
+        friis = gains.copy()
+        if scene.element_factor_q > 0:
+            gains *= (along_normal / dist) ** scene.element_factor_q
+        return dist, friis, gains
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+           st.integers(1, 4), st.integers(1, 5), st.integers(1, 40),
+           st.sampled_from([0.01, 1.0, 100.0]), st.booleans())
+    @settings(max_examples=80)
+    def test_bitwise_equal_to_reference(self, seed, q, rows, cols, num_points,
+                                        scale, axis_normal):
+        rng = np.random.default_rng(seed)
+        normal = np.array([0, 0, 1.0]) if axis_normal else rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        center = rng.normal(size=3)
+        panel = PanelSpec(center=center.tolist(), normal=normal.tolist(),
+                          rows=rows, cols=cols, dx=float(rng.uniform(0.01, 0.2)),
+                          dy=float(rng.uniform(0.01, 0.2)), group_rows=1, group_cols=1)
+        layout = build_layout(panel)
+        scene = make_scene(panel, center + normal, center - normal,
+                           frequency_hz=float(rng.uniform(1e9, 3e10)),
+                           element_factor_q=q)
+        points = center + scale * rng.normal(size=(num_points, 3))
+        dist, friis, expected = self.reference(points, layout, scene)
+        assert _hop_gains(points, layout, scene).tobytes() == expected.tobytes()
+        assert friis_gain(dist, scene.wavelength).tobytes() == friis.tobytes()
+
+    def test_point_on_an_element_raises(self):
+        panel = tiny_panel(rows=2, cols=2)
+        layout = build_layout(panel)
+        scene = make_scene(panel, [0, 0, 1.0], [0, 0, -1.0])
+        points = np.array([[0.3, 0.2, 0.5], layout.positions[3]])
+        with pytest.raises(ValidationError, match="coincides with an element"):
+            _hop_gains(points, layout, scene)
+
+    def test_friis_gain_keeps_its_own_check(self):
+        with pytest.raises(ValidationError, match="requires positive distance"):
+            friis_gain(np.array([1.0, 0.0, 2.0]), WAVELENGTH_3G6)
 
 
 class TestSceneValidation:

@@ -226,26 +226,6 @@ class TestPattern:
         rows = out_path.read_text().splitlines()[1:]
         assert rows and all(row.endswith(",reflection") for row in rows)
 
-    @pytest.mark.parametrize("radius", ["nan", "inf", "0"])
-    def test_bad_radius_is_validation_error(self, capsys, tmp_path, radius):
-        out_path = tmp_path / "pattern.csv"
-        code, _, err = run_cli(capsys, "pattern",
-                               "--config", prototype_scene_path(),
-                               "--radius-m", radius, "--out", str(out_path))
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "validation"
-        assert not out_path.exists()
-
-    @pytest.mark.parametrize("step", ["inf", "nan", "0"])
-    def test_bad_step_is_validation_error(self, capsys, tmp_path, step):
-        out_path = tmp_path / "pattern.csv"
-        code, _, err = run_cli(capsys, "pattern",
-                               "--config", prototype_scene_path(),
-                               "--step-deg", step, "--out", str(out_path))
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "validation"
-        assert not out_path.exists()
-
 
 class TestCoverage:
     def test_csv_pgm_and_determinism(self, capsys, tmp_path):
@@ -269,16 +249,26 @@ class TestCoverage:
         assert artifacts[0][1].startswith(b"P5\n9 5\n255\n")
         assert len(artifacts[0][1]) == len(b"P5\n9 5\n255\n") + 9 * 5
 
-    def test_bad_grid_is_validation_error(self, capsys, tmp_path):
-        for grid in ("1,2,3", "nan,2,-2,2,3,3", "-2,inf,-2,2,3,3"):
-            out_path = tmp_path / "x.csv"
-            code, _, err = run_cli(capsys, "coverage",
-                                   "--config", prototype_scene_path(),
-                                   f"--grid={grid}",
-                                   "--out", str(out_path))
-            assert code == 2, grid
-            assert json.loads(err)["error"]["type"] == "validation"
-            assert not out_path.exists()
+
+class TestFieldFlags:
+    """The numeric flags of pattern and coverage reject NaN, +-inf,
+    out-of-range values and a malformed grid with exit 2, writing no
+    artifact."""
+
+    CASES = ([("pattern", f"{flag}={value}") for flag in ("--step-deg", "--radius-m")
+              for value in ("nan", "inf", "-inf", "0", "-1")]
+             + [("coverage", f"--grid={grid}") for grid in (
+                 "1,2,3", "nan,1,-1,1,3,3", "-1,inf,-1,1,3,3", "-1,1,-inf,1,3,3",
+                 "-1,1,-1,nan,3,3", "-1,1,-1,1,0,3", "-1,1,-1,1,3,0")])
+
+    @pytest.mark.parametrize("command,flag", CASES)
+    def test_invalid_value_exits_2_without_artifact(self, capsys, tmp_path, command, flag):
+        extra = ["--pgm", str(tmp_path / "map.pgm")] if command == "coverage" else []
+        code, _, err = run_cli(capsys, command, "--config", prototype_scene_path(), flag,
+                               "--out", str(tmp_path / "out.csv"), *extra)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOracle:
