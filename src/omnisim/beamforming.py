@@ -176,10 +176,8 @@ class _UnitProblem:
         self.kernel = ChannelKernel(geometry, table.coefficient_matrix, realizations)
         self.powers = (scene.tx_power_w, scene.noise_power_w)
         self.num_states = table.num_states
-        if granularity is Granularity.GROUP:
-            self.num_units = layout.num_groups
-        else:
-            self.num_units = layout.num_elements
+        self.num_units = (layout.num_groups if granularity is Granularity.GROUP
+                          else layout.num_elements)
         self.evaluations = 0
         self.degenerate_evaluations = 0
 
@@ -218,10 +216,9 @@ class _UnitProblem:
         self.degenerate_evaluations += int(np.count_nonzero(degenerate))
 
     def outcome(self, unit_states, objective: float, trace) -> OptimizationOutcome:
-        if self.granularity is Granularity.GROUP:
-            config = Configuration.from_group_states(self.layout, unit_states)
-        else:
-            config = Configuration(states=tuple(unit_states))
+        config = (Configuration.from_group_states(self.layout, unit_states)
+                  if self.granularity is Granularity.GROUP
+                  else Configuration(states=tuple(unit_states)))
         return OptimizationOutcome(config=config, objective=objective, trace=tuple(trace),
                                    evaluations=self.evaluations,
                                    degenerate_evaluations=self.degenerate_evaluations)
@@ -319,19 +316,16 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
 def random_baseline(scene: Scene, layout: ElementLayout, table: StateTable,
                     granularity: Granularity = Granularity.ELEMENT,
                     trials: int = 100, seed: int = 0) -> OptimizationOutcome:
-    """Best of ``trials`` uniform configurations from a seeded generator;
-    one generator call per trial, so batching the scoring keeps the draws."""
+    """Best of ``trials`` uniform configurations from a seeded generator; numpy
+    draws a batch one value at a time, so the draws do not depend on BATCH."""
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     problem = _UnitProblem(scene, layout, table, granularity)
     rng = np.random.default_rng(seed)
-    best_states = None
-    best_value = -math.inf
-    trace = []
+    best_states, best_value, trace = None, -math.inf, []
     for start in range(0, trials, BATCH):
-        draws = np.empty((min(BATCH, trials - start), problem.num_units), dtype=np.int64)
-        for row in draws:
-            row[:] = rng.integers(0, problem.num_states, size=problem.num_units)
+        draws = rng.integers(0, problem.num_states,
+                             size=(min(BATCH, trials - start), problem.num_units))
         values, degenerate = problem.score(problem.partials(draws))
         problem.count(degenerate)
         for t, value in enumerate(values.tolist(), start):

@@ -203,12 +203,12 @@ def _hop_gains(points: np.ndarray, layout: ElementLayout, scene: Scene) -> np.nd
     The only element -> point hop: the channel, coverage map, pattern and
     point SNR all go through it.
     """
-    if scene.element_factor_q > 0:  # per-axis products would round differently
-        along_normal = np.abs((points[:, None, :] - layout.positions[None, :, :])
-                              @ scene.panel.normal)
-    # Squared distance per axis, in place: (dx*dx + dy*dy) + dz*dz has the
-    # bits of np.linalg.norm's length-3 sum, without a (P, M, 3) temporary.
+    # Per axis, without a (P, M, 3) temporary: |(dx*nx + dy*ny) + dz*nz| and
+    # the squared distance (dx*dx + dy*dy) + dz*dz, in place.
     dist, dy, dz = (np.subtract.outer(p, e) for p, e in zip(points.T, layout.positions.T))
+    if scene.element_factor_q > 0:
+        nx, ny, nz = scene.panel.normal
+        along_normal = np.abs(dist * nx + dy * ny + dz * nz)
     dist *= dist
     dist += np.square(dy, out=dy)
     dist += np.square(dz, out=dz)
@@ -352,7 +352,7 @@ def draw_realizations(model: FadingModel, geometry: ChannelGeometry,
 
 
 ACCUMULATE_MAX_SIZE = 64  # largest term ordered_sum accumulates in one call
-PASS_ENTRIES = 2 ** 13    # products per pass in ChannelKernel.element_partials
+PASS_ENTRIES = 2 ** 13    # products per pass of ChannelKernel._group_passes
 TABLE_REALIZATIONS = 4    # realizations per pass in ChannelKernel.state_tables
 
 
@@ -388,7 +388,6 @@ class ChannelKernel:
         self.fading = fading
         self.members = geometry.group_members
         self.coefficients = coefficient_matrix
-        self.sides = geometry.user_side_index
         self.direct = geometry.direct
         # Both operands of a fading product carry the realization axis: numpy
         # multiplies a lone entry broadcast to a higher rank with other last bits.
@@ -396,34 +395,41 @@ class ChannelKernel:
             self.direct = self.direct[None] * np.stack([r.direct for r in fading])
         self.channel_size = geometry.num_users * geometry.num_antennas * max(1, len(fading))
 
-    @cached_property
-    def gains(self) -> tuple[np.ndarray, np.ndarray]:
-        """Faded gains, member and group axes first: (m, G, 1, R, K) to the
-        users and (m, G, 1, R, 1, Nt) from the BS."""
-        idx = self.members.T
-        g1 = self.geometry.bs_to_element[:, idx][None]    # (1, Nt, m, G)
-        g2 = self.geometry.element_to_user[:, idx][None]  # (1, K, m, G)
+    def _products(self, idx: np.ndarray) -> np.ndarray:
+        """(m, g, P, R, K, Nt) products ``(Gamma[side_k, s] * g2) * g1`` of the
+        (m, g) elements ``idx`` in each state s; g2, g1 are faded gains."""
+        g1 = self.geometry.bs_to_element.T[idx][:, :, None]    # (m, g, 1, Nt)
+        g2 = self.geometry.element_to_user.T[idx][:, :, None]  # (m, g, 1, K)
         if self.fading:
-            g1 = g1 * np.stack([r.bs_to_element[:, idx] for r in self.fading])
-            g2 = g2 * np.stack([r.element_to_user[:, idx] for r in self.fading])
-        return (np.moveaxis(g2, (-2, -1), (0, 1))[:, :, None],
-                np.moveaxis(g1, (-2, -1), (0, 1))[:, :, None, :, None, :])
+            g1 = g1 * np.stack([r.bs_to_element for r in self.fading], axis=1).T[idx]
+            g2 = g2 * np.stack([r.element_to_user for r in self.fading], axis=1).T[idx]
+        gamma = self.coefficients[self.geometry.user_side_index].T[:, None]  # (P, 1, K)
+        # In C order each member's terms are contiguous, which ordered_sum adds faster.
+        to_user = np.multiply(gamma, g2[:, :, None], order="C")
+        return to_user[..., None] * g1[:, :, None, :, None, :]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """(M P, R, K, Nt) products: row e P + s is element e in state s."""
+        products = self._products(np.arange(self.members.size)[None])
+        return products.reshape(-1, *products.shape[3:])
 
     def partials(self, member_states: np.ndarray, groups) -> np.ndarray:
-        """(g, B, R, K, Nt) partial channels of ``groups``, a slice or an index
-        array that may repeat a group, for (B, g, m) states of their members."""
-        to_user, from_bs = (gain[:, groups] for gain in self.gains)
-        gamma = self.coefficients[self.sides, member_states.T[..., None, None]]  # (m, g, B, 1, K)
-        return ordered_sum((gamma * to_user)[..., None] * from_bs)
+        """(g, B, R, K, Nt) partials of ``groups`` (a slice, or indices that may
+        repeat) gathered from the table for (B, g, m) states of their members."""
+        rows = self.members[groups].T[..., None] * self.coefficients.shape[1]  # e P
+        return ordered_sum(np.take(self.table, rows + member_states.T, axis=0))
+
+    def _group_passes(self, rows: int, build) -> np.ndarray:
+        """``build(groups)`` over slices of groups with near PASS_ENTRIES products."""
+        step = max(1, PASS_ENTRIES // (rows * self.members.shape[1] * self.channel_size))
+        return np.concatenate([build(slice(g, g + step))
+                               for g in range(0, len(self.members), step)])
 
     def element_partials(self, states: np.ndarray) -> np.ndarray:
-        """(G, B, R, K, Nt) group partials for (B, M) per-element states,
-        as many groups per pass as keep the temporaries near PASS_ENTRIES."""
-        step = max(1, PASS_ENTRIES // (states.shape[0] * self.members.shape[1]
-                                       * self.channel_size))
-        return np.concatenate([
-            self.partials(states[:, self.members[g:g + step]], slice(g, g + step))
-            for g in range(0, len(self.members), step)])
+        """(G, B, R, K, Nt) group partials for (B, M) per-element states."""
+        return self._group_passes(len(states), lambda groups: self.partials(
+            states[:, self.members[groups]], groups))
 
     @cached_property
     def state_tables(self) -> np.ndarray:
@@ -434,8 +440,8 @@ class ChannelKernel:
                 ChannelKernel(self.geometry, self.coefficients,
                               self.fading[i:i + TABLE_REALIZATIONS]).state_tables
                 for i in range(0, len(self.fading), TABLE_REALIZATIONS)], axis=2)
-        states = np.arange(self.coefficients.shape[1])[:, None]
-        return self.element_partials(np.repeat(states, self.members.size, axis=1))
+        return self._group_passes(self.coefficients.shape[1], lambda groups: ordered_sum(
+            self._products(self.members[groups].T)))
 
     def group_state_partials(self, group_states: np.ndarray) -> np.ndarray:
         """(G, B, R, K, Nt) group partials for (B, G) per-group states."""

@@ -218,14 +218,17 @@ class TestCascadedChannel:
 
 class TestHopGains:
     """``_hop_gains`` keeps the bits of the formula it replaced: one (P, M, 3)
-    difference whose squares are summed over the last axis, the element
-    factor from ``diff @ normal``, and the Friis phase built by a complex
-    multiply and a complex-by-real divide."""
+    difference whose squares are summed over the last axis, and the Friis
+    phase built by a complex multiply and a complex-by-real divide.  The
+    element factor is |(dx nx + dy ny) + dz nz|, summed per axis in that order
+    (a BLAS ``diff @ normal`` rounds as the kernel chosen at run time does)."""
 
     @staticmethod
     def reference(points, layout, scene):
         diff = points[:, None, :] - layout.positions[None, :, :]
-        along_normal = np.abs(diff @ scene.panel.normal)
+        along_normal = np.abs(diff[..., 0] * scene.panel.normal[0]
+                              + diff[..., 1] * scene.panel.normal[1]
+                              + diff[..., 2] * scene.panel.normal[2])
         diff *= diff
         dist = np.sqrt(diff.sum(axis=2))
         gains = np.multiply(-2j * math.pi, dist, out=np.empty(dist.shape, dtype=complex))

@@ -24,7 +24,7 @@ from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
                      relaxed_upper_bound, statistical_optimize, sum_rate)
 from omnisim import beamforming
 from omnisim.beamforming import _UnitProblem
-from omnisim.channel import draw_realizations
+from omnisim.channel import ChannelKernel, draw_realizations, ordered_sum
 
 
 def make_scene(seed, nt, k_users, groups, group_cols, num_states, direct_path):
@@ -96,6 +96,42 @@ def sequential_greedy(problem, max_sweeps=10):
         if (current - before) / max(abs(before), 1e-30) < beamforming.CONVERGENCE_EPSILON:
             break
     return states, trace, counts[0], counts[1]
+
+
+def reference_partials(kernel, member_states, groups):
+    """The arithmetic the product table replaced: faded gains of every group,
+    sliced to ``groups``, and coefficients gathered per member state, then
+    ``(gamma * to_user)[..., None] * from_bs`` summed over the members."""
+    idx = kernel.members.T
+    g1 = kernel.geometry.bs_to_element[:, idx][None]    # (1, Nt, m, G)
+    g2 = kernel.geometry.element_to_user[:, idx][None]  # (1, K, m, G)
+    if kernel.fading:
+        g1 = g1 * np.stack([r.bs_to_element[:, idx] for r in kernel.fading])
+        g2 = g2 * np.stack([r.element_to_user[:, idx] for r in kernel.fading])
+    to_user = np.moveaxis(g2, (-2, -1), (0, 1))[:, groups, None]
+    from_bs = np.moveaxis(g1, (-2, -1), (0, 1))[:, groups, None, :, None, :]
+    gamma = kernel.coefficients[kernel.geometry.user_side_index,
+                                member_states.T[..., None, None]]  # (m, g, B, 1, K)
+    return ordered_sum((gamma * to_user)[..., None] * from_bs)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_random(problem, trials, seed):
+    """Random search drawing each trial with its own generator call and
+    scoring it alone: (states, objective, trace, evaluations, degenerate)."""
+    rng = np.random.default_rng(seed)
+    best, best_value, trace, degenerate = None, -math.inf, [], 0
+    for t in range(trials):
+        states = rng.integers(0, problem.num_states, size=problem.num_units)
+        values, flags = problem.score(problem.partials(states[None]))
+        degenerate += int(flags[0])
+        if values[0] > best_value:
+            best, best_value = states.tolist(), float(values[0])
+            trace.append((t, best_value))
+    return best, best_value, trace, trials, degenerate
 
 
 def unit_config(layout, granularity, unit_states):
@@ -183,6 +219,65 @@ class TestBatchInvariance:
             evaluate_rates(scene, layout, table, out.config, fading=r).sum_rate
             for r in realizations) / num_samples
         assert out.objective == average
+
+
+class TestProductTable:
+    @given(scenes(), st.sampled_from([0, 1, 3, 5]), st.integers(1, 20),
+           st.integers(0, 2 ** 32 - 1))
+    @example(make_scene(7, 1, 1, 3, 1, 2, False), 5, 20, 0)
+    @example(make_scene(7, 1, 1, 1, 1, 3, True), 1, 1, 0)
+    @example(make_scene(3, 3, 3, 2, 1, 3, True), 3, 7, 0)
+    @settings(max_examples=60)
+    def test_gathered_partials_equal_the_replaced_arithmetic(self, world, num_samples,
+                                                             size, seed):
+        """Partials gathered from the table (by a slice of groups, by an index
+        array that repeats groups, and per element), and the state tables,
+        have the bits of the arithmetic they replaced, with 0 realizations,
+        1, 3 and 5 (more than TABLE_REALIZATIONS).  The examples have
+        one-element groups; with K = Nt = 1 every product is a single entry."""
+        scene, layout, table = world
+        geometry = channel_geometry(scene, layout)
+        realizations = ()
+        if num_samples:
+            realizations = draw_realizations(FadingModel(6.0), geometry, seed % 1000,
+                                             num_samples)
+        kernel = ChannelKernel(geometry, table.coefficient_matrix, realizations)
+        members = kernel.members
+        gen = np.random.default_rng(seed)
+        states = gen.integers(0, table.num_states, (size, layout.num_elements))
+        full = reference_partials(kernel, states[:, members], slice(None))
+        assert same_bits(kernel.element_partials(states), full)
+        start = int(gen.integers(0, len(members)))
+        part = slice(start, int(gen.integers(start + 1, len(members) + 1)))
+        assert same_bits(kernel.partials(states[:, members[part]], part),
+                         reference_partials(kernel, states[:, members[part]], part))
+        groups = gen.integers(0, len(members), size)
+        member_states = states[np.arange(size)[:, None], members[groups]][None]
+        assert same_bits(kernel.partials(member_states, groups),
+                         reference_partials(kernel, member_states, groups))
+        every_state = np.broadcast_to(np.arange(table.num_states)[:, None, None],
+                                      (table.num_states, *members.shape))
+        assert same_bits(kernel.state_tables,
+                         reference_partials(kernel, every_state, slice(None)))
+
+
+class TestRandomBaseline:
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("num_states", [2, 3])
+    def test_batched_draws_equal_one_call_per_trial(self, trials, num_states):
+        """One generator call per batch draws what one call per trial drew,
+        across batch boundaries and with an odd number of units per row."""
+        scene, layout, table = make_scene(seed=4, nt=2, k_users=2, groups=5,
+                                          group_cols=1, num_states=num_states,
+                                          direct_path=False)
+        out = random_baseline(scene, layout, table, Granularity.ELEMENT,
+                              trials=trials, seed=9)
+        states, objective, trace, evaluations, degenerate = reference_random(
+            _UnitProblem(scene, layout, table, Granularity.ELEMENT), trials, 9)
+        assert out.config == Configuration(states=tuple(states))
+        assert out.objective == objective
+        assert out.trace == tuple(trace)
+        assert (out.evaluations, out.degenerate_evaluations) == (evaluations, degenerate)
 
 
 class TestOptimizerInvariants:
