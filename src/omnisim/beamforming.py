@@ -28,8 +28,8 @@ EXHAUSTIVE_GUARD = 2 ** 20
 BOUND_SLACK = 1e-12
 # Greedy sweeps stop once a sweep's relative improvement falls below this.
 CONVERGENCE_EPSILON = 1e-9
-# Candidates per kernel call in exhaustive and random search; bounds the
-# temporaries (README: how a configuration is scored).
+# Candidates per kernel call in random search; bounds the temporaries
+# (README: how a configuration is scored).
 BATCH = 256
 
 
@@ -202,7 +202,10 @@ class _UnitProblem:
     def score(self, partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B,) objectives and degenerate flags of the candidates with
         (G, B, R, K, Nt) group partials; :meth:`count` tallies them."""
-        H = self.kernel.channels(partials)
+        return self.score_channels(self.kernel.channels(partials))
+
+    def score_channels(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`score` of the candidates' (B, R, K, Nt) channels."""
         if H.shape[1] == 1:  # as evaluate_rates; a unit axis slows ZF's many small calls
             _, total, _, degenerate = _zero_forcing(H[:, 0], *self.powers)
             return total, degenerate
@@ -291,25 +294,44 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     """Global optimum by enumeration; ties pick the lexicographically
     smallest configuration: batches run in lexicographic order (first unit
     most significant), and a later batch must beat the best strictly.
+
+    A batch holds every state of the last L units under one prefix of the
+    others, P^L candidates with the largest L whose channels (group
+    granularity) or group partials (element) fit in one ``PASS_ENTRIES``
+    pass.  At group granularity its channels are expanded from the prefix's
+    group sum (``ChannelKernel.product_channels``).
     Refuses searches beyond 2^20 candidates."""
     problem = _UnitProblem(scene, layout, table, granularity)
-    space = problem.num_states ** problem.num_units
+    num_states, num_units = problem.num_states, problem.num_units
+    space = num_states ** num_units
     if space > EXHAUSTIVE_GUARD:
         raise SearchSpaceError(
-            f"{problem.num_states}^{problem.num_units} = {space} candidates "
+            f"{num_states}^{num_units} = {space} candidates "
             f"exceed the {EXHAUSTIVE_GUARD} guard"
         )
-    digits = problem.num_states ** np.arange(problem.num_units - 1, -1, -1)
+    # Entries one candidate adds to a batch: its channel, or its group partials.
+    size = problem.kernel.channel_size * (
+        1 if granularity is Granularity.GROUP else len(problem.kernel.members))
+    depth = 0
+    while depth < num_units and num_states ** (depth + 1) * size <= PASS_ENTRIES:
+        depth += 1
+    leaf = num_states ** depth
+    digits = num_states ** np.arange(num_units - 1, -1, -1)
+    free = [np.arange(num_states)] * depth
     best_index, best_value = 0, -math.inf
-    for start in range(0, space, BATCH):
-        index = np.arange(start, min(start + BATCH, space))
-        values, degenerate = problem.score(problem.partials(
-            index[:, None] // digits % problem.num_states))
+    for start in range(0, space, leaf):
+        if granularity is Granularity.GROUP:
+            prefix = (start // digits[:num_units - depth] % num_states)[:, None]
+            values, degenerate = problem.score_channels(
+                problem.kernel.product_channels([*prefix, *free]))
+        else:
+            values, degenerate = problem.score(problem.partials(
+                np.arange(start, start + leaf)[:, None] // digits % num_states))
         problem.count(degenerate)
         best = int(np.argmax(values))
         if values[best] > best_value:
             best_index, best_value = start + best, float(values[best])
-    best_states = (best_index // digits % problem.num_states).tolist()
+    best_states = (best_index // digits % num_states).tolist()
     return problem.outcome(best_states, best_value, ((0, best_value),))
 
 

@@ -449,6 +449,19 @@ class ChannelKernel:
         rows = group_states + tables.shape[1] * np.arange(len(tables))
         return np.take(tables.reshape(-1, *tables.shape[2:]), rows.T, axis=0)
 
+    def product_channels(self, choices) -> np.ndarray:
+        """(B, R, K, Nt) channels of every candidate whose group g takes a state
+        in ``choices[g]``, in lexicographic order (group 0 most significant).
+
+        The channels of :meth:`channels`, bitwise: the ordered group sum is
+        expanded one group at a time, so each prefix's sum is made once.
+        """
+        tables = self.state_tables
+        H = tables[0, choices[0]]
+        for table, states in zip(tables[1:], choices[1:]):
+            H = (H[:, None] + table[states][None]).reshape(-1, *tables.shape[2:])
+        return H if self.direct is None else H + self.direct
+
     def channels(self, partials: np.ndarray) -> np.ndarray:
         """(B, R, K, Nt) channels from (G, B, R, K, Nt) group partials."""
         H = ordered_sum(partials)

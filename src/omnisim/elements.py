@@ -237,15 +237,16 @@ class Configuration:
         if len(self.states) != layout.num_elements:
             raise ValidationError("configuration length does not match layout")
         states = np.asarray(self.states)
-        out = []
-        for g in range(layout.num_groups):
-            members = states[layout.group_of == g]
-            if members.size == 0:
-                raise ValidationError(f"group {g} has no elements")
-            if not np.all(members == members[0]):
-                raise ValidationError(f"group {g} members disagree on state")
-            out.append(int(members[0]))
-        return tuple(out)
+        first = np.full(layout.num_groups, len(states))  # lowest member; len: none
+        np.minimum.at(first, layout.group_of, np.arange(len(states)))
+        head = np.append(states, -1)[first]  # each group's state; -1: no elements
+        bad = head < 0
+        bad[layout.group_of[states != head[layout.group_of]]] = True
+        if bad.any():
+            g = int(np.argmax(bad))
+            raise ValidationError(f"group {g} has no elements" if head[g] < 0
+                                  else f"group {g} members disagree on state")
+        return tuple(head.tolist())
 
     def validate_against(self, table: StateTable, layout) -> None:
         if len(self.states) != layout.num_elements:

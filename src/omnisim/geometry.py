@@ -134,6 +134,8 @@ class ElementLayout:
     v: Vec3
 
     def __post_init__(self):
+        if (self.group_of < 0).any():
+            raise ValidationError("group indices must be non-negative")
         self.positions.setflags(write=False)
         self.group_of.setflags(write=False)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from omnisim import (CoefficientPair, Configuration, Granularity, PanelSpec,
-                     Side, StateTable, ValidationError, build_layout,
+from omnisim import (CoefficientPair, Configuration, ElementLayout, Granularity,
+                     PanelSpec, Side, StateTable, ValidationError, build_layout,
                      prototype_state_table, quantize_phase, validate_table)
 
 
@@ -149,6 +149,41 @@ class TestConfiguration:
                                granularity=Granularity.GROUP)
         with pytest.raises(ValidationError):
             config.group_states(self.layout)
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.data())
+    def test_group_states_match_a_per_group_loop(self, group_of, data):
+        """Group states, and for a bad layout or configuration the error of
+        the lowest group that is empty or whose members disagree, are those
+        of a loop over the groups."""
+        layout = ElementLayout(positions=np.zeros((len(group_of), 3)),
+                               group_of=np.array(group_of), u=np.array([1.0, 0, 0]),
+                               v=np.array([0, 1.0, 0]))
+        states = data.draw(st.lists(st.integers(0, 2), min_size=len(group_of),
+                                    max_size=len(group_of)))
+        if data.draw(st.booleans()):  # members agree, unless a group is empty
+            group_state = data.draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+            states = [group_state[g] for g in group_of]
+        expected = []
+        for g in range(max(group_of) + 1):
+            members = [s for s, h in zip(states, group_of) if h == g]
+            if not members:
+                expected = f"group {g} has no elements"
+                break
+            if len(set(members)) > 1:
+                expected = f"group {g} members disagree on state"
+                break
+            expected.append(members[0])
+        config = Configuration(states=tuple(states), granularity=Granularity.GROUP)
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError, match=f"^{expected}$"):
+                config.group_states(layout)
+        else:
+            assert config.group_states(layout) == tuple(expected)
+
+    def test_negative_group_index_rejected(self):
+        with pytest.raises(ValidationError):
+            ElementLayout(positions=np.zeros((2, 3)), group_of=np.array([0, -1]),
+                          u=np.array([1.0, 0, 0]), v=np.array([0, 1.0, 0]))
 
     def test_validate_against_table(self):
         table = prototype_state_table()

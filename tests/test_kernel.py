@@ -295,11 +295,13 @@ class TestOptimizerInvariants:
         assert best.objective >= rand.objective
         assert relaxed_upper_bound(scene, layout, table) >= best.objective
 
-    @pytest.mark.parametrize("batch", [1, 3, 7, 64])
+    # K * Nt = 4, P = 3 and 3 groups: group leaves of 1, P, P^2 and P^3 (the
+    # whole space), element leaves (3 group partials each) of 1, 1, P, P^2, P^5.
+    @pytest.mark.parametrize("pass_entries", [4, 12, 36, 108, beamforming.PASS_ENTRIES])
     @pytest.mark.parametrize("granularity", [Granularity.GROUP, Granularity.ELEMENT])
-    def test_exhaustive_is_lexicographic_first_maximum(self, monkeypatch, batch,
+    def test_exhaustive_is_lexicographic_first_maximum(self, monkeypatch, pass_entries,
                                                        granularity):
-        """Whatever the batch size, exhaustive picks the first maximum of
+        """Whatever the leaf batch size, exhaustive picks the first maximum of
         ``sum_rate`` in lexicographic order of the unit states."""
         scene, layout, table = make_scene(seed=5, nt=2, k_users=2, groups=3,
                                           group_cols=2, num_states=3,
@@ -308,7 +310,7 @@ class TestOptimizerInvariants:
         rates = [sum_rate(scene, layout, table, unit_config(layout, granularity, c))
                  for c in itertools.product(range(table.num_states), repeat=units)]
         first = int(np.argmax(rates))
-        monkeypatch.setattr(beamforming, "BATCH", batch)
+        monkeypatch.setattr(beamforming, "PASS_ENTRIES", pass_entries)
         out = exhaustive_optimize(scene, layout, table, granularity)
         assert out.evaluations == len(rates)
         assert out.objective == rates[first]
@@ -316,15 +318,49 @@ class TestOptimizerInvariants:
             itertools.product(range(table.num_states), repeat=units), first, None))
         assert out.config == unit_config(layout, granularity, list(expected))
 
-    def test_all_tied_batches_keep_the_first_candidate(self, monkeypatch):
+    @pytest.mark.parametrize("pass_entries", [2, 4, 8])  # leaves of 1, 2 and 4 of 16
+    def test_all_tied_batches_keep_the_first_candidate(self, monkeypatch, pass_entries):
         """Identical states tie every candidate; a later batch must not win."""
         scene, layout, _ = make_scene(seed=3, nt=2, k_users=1, groups=4,
                                       group_cols=1, num_states=2, direct_path=False)
         pair = CoefficientPair(0.5, 0.7, 0.5, 2.1)
         table = StateTable(states=(pair, pair))
-        monkeypatch.setattr(beamforming, "BATCH", 3)
+        monkeypatch.setattr(beamforming, "PASS_ENTRIES", pass_entries)
         out = exhaustive_optimize(scene, layout, table, Granularity.GROUP)
         assert out.config.group_states(layout) == (0, 0, 0, 0)
+
+
+class TestPrefixExpansion:
+    @given(st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 2), st.sampled_from([2, 3]), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_group_exhaustive_equals_brute_force(self, data, seed, nt, groups, group_cols,
+                                                 num_states, direct_path, duplicate):
+        """Group exhaustive, whose leaf batches are expanded from each prefix's
+        group sum, equals ``evaluate_rates`` of every configuration in
+        ``itertools.product`` order: the objective bitwise, the first maximum,
+        and both counts.  ``duplicate`` makes the last state a copy of the
+        first, so that many configurations tie; the leaf batch holds P^L
+        candidates for each L from one candidate to the whole space."""
+        k_users = data.draw(st.integers(1, nt))
+        scene, layout, table = make_scene(seed, nt, k_users, groups, group_cols,
+                                          num_states, direct_path)
+        if duplicate:
+            table = StateTable(states=(*table.states[:-1], table.states[0]))
+        configs = list(itertools.product(range(num_states), repeat=groups))
+        results = [evaluate_rates(scene, layout, table,
+                                  Configuration.from_group_states(layout, c))
+                   for c in configs]
+        rates = [r.sum_rate for r in results]
+        first = rates.index(max(rates))
+        depth = data.draw(st.integers(0, groups))
+        with mock.patch.object(beamforming, "PASS_ENTRIES",
+                               num_states ** depth * k_users * nt):
+            out = exhaustive_optimize(scene, layout, table, Granularity.GROUP)
+        assert out.objective == rates[first]
+        assert out.config.group_states(layout) == configs[first]
+        assert out.evaluations == len(configs)
+        assert out.degenerate_evaluations == sum(r.degenerate for r in results)
 
 
 class TestSpeculativeGreedy:
