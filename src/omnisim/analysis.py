@@ -25,28 +25,22 @@ from .geometry import ElementLayout, Side
 CHUNK_POINTS = 32
 
 
-@dataclass(frozen=True)
-class PatternSample:
-    """One probe angle of a sweep; power is dB below the sweep's maximum."""
-
-    angle_deg: float
-    power_db: float
-    side: Side
-
-
 @dataclass(frozen=True, eq=False)
 class PatternSweep:
-    samples: tuple[PatternSample, ...]
-    skipped: int  # probe angles dropped because they fell in the panel plane
+    """One side's probe angles and their power in dB below the sweep's
+    maximum; in-plane probe angles are dropped and counted in ``skipped``."""
 
-    def __iter__(self):
-        return iter(self.samples)
+    angles_deg: np.ndarray
+    power_db: np.ndarray
+    side: Side
+    skipped: int
 
-    def __len__(self):
-        return len(self.samples)
+    def __post_init__(self):
+        self.angles_deg.setflags(write=False)
+        self.power_db.setflags(write=False)
 
     def peak_angle(self) -> float:
-        return max(self.samples, key=lambda s: s.power_db).angle_deg
+        return float(self.angles_deg[np.argmax(self.power_db)])
 
 
 @dataclass(frozen=True)
@@ -174,9 +168,8 @@ def radiation_pattern(scene: Scene, layout: ElementLayout, table: StateTable,
     with np.errstate(divide="ignore"):
         power_db = (10.0 * np.log10(power / peak) if peak > 0
                     else np.full_like(power, -np.inf))
-    samples = tuple(PatternSample(angle_deg=float(a), power_db=float(p), side=side)
-                    for a, p in zip(angles, power_db))
-    return PatternSweep(samples=samples, skipped=int(np.sum(~valid)))
+    return PatternSweep(angles_deg=angles, power_db=power_db, side=side,
+                        skipped=int(np.sum(~valid)))
 
 
 def coverage_map(scene: Scene, layout: ElementLayout, table: StateTable,

@@ -98,8 +98,8 @@ def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> Beamform
     H H^H is singular or its condition number reaches 1e12.
     """
     H = np.atleast_2d(np.asarray(channel, dtype=complex))
-    if not (total_power_w > 0 and noise_power_w > 0):
-        raise ValidationError("total power and noise power must be positive")
+    if not (0 < total_power_w < math.inf and 0 < noise_power_w < math.inf):
+        raise ValidationError("total power and noise power must be positive and finite")
     rates, total, cond, degenerate = _zero_forcing(H[None], total_power_w,
                                                    noise_power_w)
     if degenerate[0]:

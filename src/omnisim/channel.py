@@ -161,21 +161,11 @@ class LinkBudgetChain:
     items: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class LinkBudgetResult:
-    tx_power_dbm: float
-    items: tuple[tuple[str, float], ...]
-    received_dbm: float
-
-
-def link_budget(chain: LinkBudgetChain) -> LinkBudgetResult:
-    """Sum the chain exactly; sorted exact summation makes the total
-    independent of item order."""
+def link_budget(chain: LinkBudgetChain) -> float:
+    """Received power in dBm: the chain summed exactly; sorted exact
+    summation makes the total independent of item order."""
     values = sorted(v for _, v in chain.items)
-    total = math.fsum([chain.tx_power_dbm, *values])
-    return LinkBudgetResult(tx_power_dbm=chain.tx_power_dbm,
-                            items=tuple(chain.items),
-                            received_dbm=total)
+    return math.fsum([chain.tx_power_dbm, *values])
 
 
 def prototype_chain(scene: Scene, ios_gain_db: float,

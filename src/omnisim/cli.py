@@ -186,8 +186,8 @@ def cmd_pattern(args) -> int:
                                   side, step_deg=args.step_deg,
                                   eval_radius=args.radius_m)
         skipped += sweep.skipped
-        lines.extend(f"{_fmt(s.angle_deg)},{_fmt(s.power_db)},{s.side.value}"
-                     for s in sweep)
+        lines.extend(f"{_fmt(a)},{_fmt(p)},{side.value}" for a, p
+                     in zip(sweep.angles_deg.tolist(), sweep.power_db.tolist()))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     if skipped:
@@ -246,11 +246,10 @@ def cmd_linkbudget(args) -> int:
     parsed = parse_scene(args.config)
     chain = prototype_chain(parsed.scene, ios_gain_db=args.ios_gain_db,
                             tx_ios_db=args.tx_ios_db, ios_rx_db=args.ios_rx_db)
-    result = link_budget(chain)
-    print(f"tx_power_dbm {_fmt(result.tx_power_dbm)}")
-    for name, value in result.items:
+    print(f"tx_power_dbm {_fmt(chain.tx_power_dbm)}")
+    for name, value in chain.items:
         print(f"{name} {_fmt(value)}")
-    print(f"received_dbm {_fmt(result.received_dbm)}")
+    print(f"received_dbm {_fmt(link_budget(chain))}")
     return EXIT_OK
 
 

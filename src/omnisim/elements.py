@@ -54,7 +54,10 @@ class CoefficientPair:
                 raise ValidationError(f"{name} must lie in [0, 1], got {amp!r}")
         wrapped_any = False
         for name in ("reflection_phase", "refraction_phase"):
-            value, wrapped = _wrap_phase(float(getattr(self, name)))
+            phase = float(getattr(self, name))
+            if not math.isfinite(phase):
+                raise ValidationError(f"{name} must be finite, got {phase!r}")
+            value, wrapped = _wrap_phase(phase)
             object.__setattr__(self, name, value)
             wrapped_any = wrapped_any or wrapped
         object.__setattr__(self, "phases_wrapped", wrapped_any)
@@ -80,27 +83,14 @@ class CoefficientPair:
 
 @dataclass(frozen=True)
 class StateTable:
-    """Ordered set of realisable states for every element of the panel.
-
-    ``pin_diodes`` is optional metadata; when given, the state count must
-    satisfy P <= 2^N.
-    """
+    """Ordered set of realisable states for every element of the panel."""
 
     states: tuple[CoefficientPair, ...]
-    pin_diodes: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 1:
             raise ValidationError("state table must contain at least one state")
-        if self.pin_diodes is not None:
-            if self.pin_diodes < 1:
-                raise ValidationError("pin_diodes must be a positive integer")
-            if len(self.states) > 2 ** self.pin_diodes:
-                raise ValidationError(
-                    f"{len(self.states)} states exceed 2^{self.pin_diodes} "
-                    f"realisable with {self.pin_diodes} PIN diodes"
-                )
 
     @property
     def num_states(self) -> int:
@@ -261,22 +251,3 @@ class Configuration:
             )
         if self.granularity is Granularity.GROUP:
             self.group_states(layout)
-
-
-def prototype_state_table() -> StateTable:
-    """Two-state coefficients of the bundled 640-element prototype panel."""
-    return StateTable(
-        states=(
-            CoefficientPair(
-                reflection_amp=0.46, reflection_phase=math.radians(20.0),
-                refraction_amp=0.58, refraction_phase=math.radians(300.0),
-                declared_reflection_power=0.21, declared_refraction_power=0.34,
-            ),
-            CoefficientPair(
-                reflection_amp=0.55, reflection_phase=math.radians(215.0),
-                refraction_amp=0.81, refraction_phase=math.radians(123.0),
-                declared_reflection_power=0.30, declared_refraction_power=0.66,
-            ),
-        ),
-        pin_diodes=2,
-    )

@@ -1,4 +1,4 @@
-"""Panel geometry: element lattice construction, side classification, mirror law.
+"""Panel geometry: element lattice construction and side classification.
 
 Conventions
 -----------
@@ -12,6 +12,7 @@ parallel to x), and ``v = normal x u``.  Columns run along ``u`` with pitch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -56,20 +57,18 @@ class Side(Enum):
 
 @dataclass(frozen=True, eq=False)
 class PanelSpec:
-    """Placement and tiling of the element lattice.
-
-    Defaults describe the bundled prototype panel: 20 x 32 = 640 elements
-    with a 2.87 cm x 1.42 cm footprint, tiled into 16 groups of 5 x 8.
-    """
+    """Placement and tiling of the element lattice: ``rows x cols`` elements
+    at pitches ``dx`` (along u) and ``dy`` (along v), tiled into groups of
+    ``group_rows x group_cols``."""
 
     center: Vec3
     normal: Vec3
-    rows: int = 20
-    cols: int = 32
-    dx: float = 0.0287
-    dy: float = 0.0142
-    group_rows: int = 5
-    group_cols: int = 8
+    rows: int
+    cols: int
+    dx: float
+    dy: float
+    group_rows: int
+    group_cols: int
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec3(self.center, "panel center"))
@@ -93,8 +92,8 @@ class PanelSpec:
             raise ValidationError(
                 f"cols ({self.cols}) not divisible by group_cols ({self.group_cols})"
             )
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValidationError("element pitch dx, dy must be positive")
+        if not (0 < self.dx < math.inf and 0 < self.dy < math.inf):
+            raise ValidationError("element pitch dx, dy must be positive and finite")
 
     @property
     def num_elements(self) -> int:
@@ -182,15 +181,3 @@ def side_of(spec: PanelSpec, bs_position, point) -> Side:
             f"point {np.asarray(point, dtype=float).tolist()} lies in the panel plane"
         )
     return Side.REFLECTION if point_side == bs_side else Side.REFRACTION
-
-
-def specular_direction(incident_dir, normal) -> Vec3:
-    """Mirror-law direction d - 2 (d.n) n for unit inputs."""
-    d = as_vec3(incident_dir, "incident direction")
-    n = as_vec3(normal, "normal")
-    for name, vec in (("incident direction", d), ("normal", n)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-            raise ValidationError(f"{name} must be unit length")
-    out = d - 2.0 * np.dot(d, n) * n
-    out.setflags(write=False)
-    return out

@@ -1,9 +1,10 @@
-"""Scene file ingestion and serialization.
+"""Scene file ingestion.
 
 Scene files are strict JSON: unknown keys are rejected everywhere, units are
 spelled out in key suffixes, phases are degrees at this boundary only.  A
-parsed scene keeps its canonical dict (defaults resolved) so that re-emitting
-and re-parsing reproduces identical domain objects.
+parsed scene keeps its canonical dict (defaults resolved), which the
+``simulate`` report embeds; parsing that dict again gives the same dict and
+identical domain objects.
 """
 
 from __future__ import annotations
@@ -244,13 +245,6 @@ def parse_scene(path) -> ParsedScene:
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
     return parse_scene_dict(data, source=str(path))
-
-
-def write_scene(parsed: ParsedScene, path) -> None:
-    """Serialize the canonical scene document."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(parsed.raw, fh, indent=2)
-        fh.write("\n")
 
 
 def prototype_scene_path() -> str:

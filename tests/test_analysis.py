@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from omnisim import (CoefficientPair, Configuration, CoverageGrid, PanelSpec,
-                     Scene, Side, SideUndefinedError, StateTable,
+                     PatternSweep, Scene, Side, SideUndefinedError, StateTable,
                      ValidationError, assemble_channel, build_layout,
                      channel_geometry, coverage_map, quantize_phase,
                      radiation_pattern, snr_at)
@@ -57,9 +57,17 @@ class TestRadiationPattern:
         for side in Side:
             sweep = radiation_pattern(parsed.scene, layout, parsed.table,
                                       config, side)
-            assert max(s.power_db for s in sweep) == 0.0
-            angles = [s.angle_deg for s in sweep]
-            assert angles == sorted(angles)
+            assert sweep.side is side
+            assert sweep.power_db.max() == 0.0
+            assert np.all(np.diff(sweep.angles_deg) > 0)
+            assert not sweep.angles_deg.flags.writeable
+            assert not sweep.power_db.flags.writeable
+
+    def test_peak_angle_takes_the_first_maximum(self):
+        sweep = PatternSweep(angles_deg=np.array([-2.0, -1.0, 0.0, 1.0]),
+                             power_db=np.array([-3.0, 0.0, -1.0, 0.0]),
+                             side=Side.REFLECTION, skipped=0)
+        assert sweep.peak_angle() == -1.0
 
     def test_specular_peak_at_broadside(self, normal_incidence):
         parsed, layout = normal_incidence
@@ -74,9 +82,7 @@ class TestRadiationPattern:
         sweeps = [radiation_pattern(parsed.scene, layout, parsed.table,
                                     Configuration.uniform(640, s),
                                     Side.REFLECTION) for s in (0, 1)]
-        a = np.array([s.power_db for s in sweeps[0]])
-        b = np.array([s.power_db for s in sweeps[1]])
-        assert np.allclose(a, b, atol=1e-9)
+        assert np.allclose(sweeps[0].power_db, sweeps[1].power_db, atol=1e-9)
         # absolute levels differ by the squared amplitude ratio
         power = [pattern_power(parsed.scene, layout, parsed.table,
                                Configuration.uniform(640, s),
@@ -95,8 +101,7 @@ class TestRadiationPattern:
         for cut in ("azimuth", "elevation"):
             sweep = radiation_pattern(parsed.scene, layout, parsed.table, config,
                                       Side.REFLECTION, cut=cut, step_deg=0.2)
-            angles = np.array([s.angle_deg for s in sweep])
-            power_db = np.array([s.power_db for s in sweep])
+            angles, power_db = sweep.angles_deg, sweep.power_db
             assert sweep.peak_angle() == 0.0
             assert np.allclose(power_db, power_db[::-1], atol=1e-9)
             main_lobe = angles[power_db >= -3.0]
@@ -120,8 +125,8 @@ class TestRadiationPattern:
         sweep = radiation_pattern(scene, layout, table,
                                   Configuration.uniform(1, 0),
                                   Side.REFLECTION, step_deg=1.0)
-        within = [s.power_db for s in sweep if abs(s.angle_deg) <= 60.0]
-        assert max(within) - min(within) < 0.1
+        within = sweep.power_db[np.abs(sweep.angles_deg) <= 60.0]
+        assert within.max() - within.min() < 0.1
 
     def test_element_factor_applies_on_probe_hop(self):
         panel = PanelSpec(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1,
@@ -138,8 +143,7 @@ class TestRadiationPattern:
             sweep = radiation_pattern(scene, layout, table,
                                       Configuration.uniform(1, 0), side,
                                       step_deg=15.0)
-            angles = np.array([s.angle_deg for s in sweep])
-            power_db = np.array([s.power_db for s in sweep])
+            angles, power_db = sweep.angles_deg, sweep.power_db
             assert len(angles) == 11
             # cos^2 on the amplitude of the probe hop is cos^4 in power
             expected = 40.0 * np.log10(np.cos(np.deg2rad(angles)))

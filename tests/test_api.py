@@ -2,7 +2,7 @@
 
 import omnisim
 
-MAX_PUBLIC_NAMES = 56  # ROADMAP: the public API gets smaller, not larger
+MAX_PUBLIC_NAMES = 51  # ROADMAP: the public API gets smaller, not larger
 
 
 def test_public_api_is_bounded_and_resolves():

@@ -6,11 +6,10 @@ import pytest
 from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
                      PanelSpec, RankDeficientChannelError, Scene,
                      SearchSpaceError, StateTable, TooManyUsersError,
-                     assemble_channel, build_layout, channel_geometry,
-                     evaluate_rates, exhaustive_optimize,
-                     greedy_optimize, prototype_state_table, random_baseline,
-                     relaxed_upper_bound, statistical_optimize, sum_rate,
-                     zf_precoder)
+                     ValidationError, assemble_channel, build_layout,
+                     channel_geometry, evaluate_rates, exhaustive_optimize,
+                     greedy_optimize, random_baseline, relaxed_upper_bound,
+                     statistical_optimize, sum_rate, zf_precoder)
 
 
 THREE_STATES = StateTable(states=(
@@ -71,6 +70,14 @@ class TestZfPrecoder:
         with pytest.raises(TooManyUsersError):
             zf_precoder(random_channel(rng, 3, 2), 1.0, 1.0)
 
+    @pytest.mark.parametrize("which", ["total", "noise"])
+    @pytest.mark.parametrize("value", [math.inf, 0.0, -1.0, math.nan])
+    def test_powers_must_be_positive_and_finite(self, rng, which, value):
+        H = random_channel(rng, 2, 3)
+        powers = {"total": 2.0, "noise": 0.5, which: value}
+        with pytest.raises(ValidationError, match="positive and finite"):
+            zf_precoder(H, powers["total"], powers["noise"])
+
     def test_orthogonality_and_power_over_random_draws(self, rng):
         for _ in range(50):
             nt = int(rng.integers(1, 9))
@@ -100,9 +107,9 @@ class TestSumRate:
         assert result.sum_rate == 0.0
         assert result.degenerate
 
-    def test_single_user_scalar_composition(self):
+    def test_single_user_scalar_composition(self, prototype):
         scene, layout = small_scene(units=4, k_users=1, nt=1, seed=3)
-        table = prototype_state_table()
+        table = prototype.table
         config = Configuration.uniform(layout.num_elements, 1)
         h = assemble_channel(channel_geometry(scene, layout), table, config)[0, 0]
         expected = math.log2(1 + scene.tx_power_w * abs(h) ** 2
@@ -119,7 +126,7 @@ class TestSumRate:
 
 
 class TestGreedy:
-    def test_single_element_picks_stronger_reflection_state(self):
+    def test_single_element_picks_stronger_reflection_state(self, prototype):
         """One reflection-side user, one element: phase is immaterial, so the
         larger reflection amplitude (state index 1: 0.55 > 0.46) wins."""
         panel = PanelSpec(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1,
@@ -129,7 +136,7 @@ class TestGreedy:
                       bs_antennas=np.array([[0.0, 0.0, 1.0]]),
                       users=np.array([[0.4, 0.0, 0.9]]),
                       tx_power_dbm=20.0, bandwidth_hz=1e6)
-        out = greedy_optimize(scene, layout, prototype_state_table())
+        out = greedy_optimize(scene, layout, prototype.table)
         assert out.config.states == (1,)
 
     def test_single_state_table_trivial(self):
@@ -139,24 +146,24 @@ class TestGreedy:
         assert out.config.states == (0,) * layout.num_elements
         assert len(out.trace) == 2  # initial + one sweep with no improvement
 
-    def test_trace_non_decreasing(self):
+    def test_trace_non_decreasing(self, prototype):
         scene, layout = small_scene(units=8, seed=11)
-        out = greedy_optimize(scene, layout, prototype_state_table(),
+        out = greedy_optimize(scene, layout, prototype.table,
                               Granularity.GROUP)
         objectives = [v for _, v in out.trace]
         assert all(b >= a for a, b in zip(objectives, objectives[1:]))
 
-    def test_objective_equals_recomputed_sum_rate(self):
+    def test_objective_equals_recomputed_sum_rate(self, prototype):
         scene, layout = small_scene(units=6, seed=5)
-        table = prototype_state_table()
+        table = prototype.table
         out = greedy_optimize(scene, layout, table, Granularity.GROUP)
         assert out.objective == sum_rate(scene, layout, table, out.config)
 
 
 class TestExhaustive:
-    def test_single_unit(self):
+    def test_single_unit(self, prototype):
         scene, layout = small_scene(units=1, k_users=1, nt=1, seed=2)
-        table = prototype_state_table()
+        table = prototype.table
         out = exhaustive_optimize(scene, layout, table, Granularity.GROUP)
         assert out.evaluations == 2
         both = [sum_rate(scene, layout, table,
@@ -164,15 +171,15 @@ class TestExhaustive:
                 for s in (0, 1)]
         assert out.objective == max(both)
 
-    def test_guard_refuses_large_spaces(self):
+    def test_guard_refuses_large_spaces(self, prototype):
         scene, layout = small_scene(units=21)
         with pytest.raises(SearchSpaceError):
-            exhaustive_optimize(scene, layout, prototype_state_table(),
+            exhaustive_optimize(scene, layout, prototype.table,
                                 Granularity.GROUP)
 
-    def test_beats_greedy_and_any_single_config(self):
+    def test_beats_greedy_and_any_single_config(self, prototype):
         scene, layout = small_scene(units=8, seed=17)
-        table = prototype_state_table()
+        table = prototype.table
         best = exhaustive_optimize(scene, layout, table, Granularity.GROUP)
         greedy = greedy_optimize(scene, layout, table, Granularity.GROUP)
         assert best.objective >= greedy.objective
@@ -214,9 +221,9 @@ class TestRandomBaseline:
                               trials=1, seed=0)
         assert out.config.states == (0,) * layout.num_elements
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic_under_seed(self, prototype):
         scene, layout = small_scene(units=6, seed=23)
-        table = prototype_state_table()
+        table = prototype.table
         a = random_baseline(scene, layout, table, Granularity.GROUP,
                             trials=25, seed=77)
         b = random_baseline(scene, layout, table, Granularity.GROUP,
@@ -225,9 +232,9 @@ class TestRandomBaseline:
         assert a.objective == b.objective
         assert a.objective == sum_rate(scene, layout, table, a.config)
 
-    def test_bounded_by_exhaustive(self):
+    def test_bounded_by_exhaustive(self, prototype):
         scene, layout = small_scene(units=8, seed=29)
-        table = prototype_state_table()
+        table = prototype.table
         best = exhaustive_optimize(scene, layout, table, Granularity.GROUP)
         rand = random_baseline(scene, layout, table, Granularity.GROUP,
                                trials=64, seed=5)
@@ -250,13 +257,13 @@ class TestRandomBaseline:
           (17, 24.4234735794158), (23, 24.83350948990747)]),
     ])
     def test_draws_match_one_candidate_at_a_time_scoring(
-            self, units, scene_seed, table, granularity, trials, seed, config,
+            self, prototype, units, scene_seed, table, granularity, trials, seed, config,
             trace):
         """Chosen configuration and trace as recorded when every trial was
         drawn and scored one at a time: batching the scoring keeps the draw
         stream.  Values may move by last bits (new summation order)."""
         scene, layout = small_scene(units=units, seed=scene_seed)
-        table = prototype_state_table() if table == "prototype" else THREE_STATES
+        table = prototype.table if table == "prototype" else THREE_STATES
         out = random_baseline(scene, layout, table, granularity,
                               trials=trials, seed=seed)
         chosen = (out.config.group_states(layout)
@@ -268,14 +275,14 @@ class TestRandomBaseline:
 
 
 class TestDegenerateAccounting:
-    def test_coincident_users_make_every_evaluation_degenerate(self):
+    def test_coincident_users_make_every_evaluation_degenerate(self, prototype):
         scene, layout = small_scene(units=4, seed=3)
         twins = Scene(frequency_hz=scene.frequency_hz, panel=scene.panel,
                       bs_antennas=scene.bs_antennas,
                       users=[scene.users[0], scene.users[0]],
                       tx_power_dbm=scene.tx_power_dbm,
                       bandwidth_hz=scene.bandwidth_hz)
-        table = prototype_state_table()
+        table = prototype.table
         groups, elements = layout.num_groups, layout.num_elements
         runs = [  # greedy stops after one sweep: no move beats a rate of 0
             (greedy_optimize(twins, layout, table, Granularity.GROUP), 1 + groups),
@@ -290,15 +297,15 @@ class TestDegenerateAccounting:
             assert out.degenerate_evaluations == out.evaluations
             assert out.objective == 0.0
 
-    def test_full_rank_scene_counts_no_degenerate_evaluations(self):
+    def test_full_rank_scene_counts_no_degenerate_evaluations(self, prototype):
         scene, layout = small_scene(units=5, seed=8)
-        out = exhaustive_optimize(scene, layout, prototype_state_table(),
+        out = exhaustive_optimize(scene, layout, prototype.table,
                                   Granularity.GROUP)
         assert out.degenerate_evaluations == 0
 
 
 class TestRelaxedUpperBound:
-    def test_single_element_single_user_is_exact(self):
+    def test_single_element_single_user_is_exact(self, prototype):
         """One term needs no co-phasing: the bound equals the best
         continuous-phase (= best amplitude) rate."""
         panel = PanelSpec(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1,
@@ -308,15 +315,15 @@ class TestRelaxedUpperBound:
                       bs_antennas=np.array([[0.0, 0.0, 1.3]]),
                       users=np.array([[0.3, 0.0, 1.1]]),
                       tx_power_dbm=20.0, bandwidth_hz=1e6)
-        table = prototype_state_table()
+        table = prototype.table
         bound = relaxed_upper_bound(scene, layout, table)
         best = exhaustive_optimize(scene, layout, table).objective
         assert bound == pytest.approx(best, rel=1e-12)
 
-    def test_bounds_exhaustive_on_random_scenes(self):
+    def test_bounds_exhaustive_on_random_scenes(self, prototype):
         for seed in range(5):
             scene, layout = small_scene(units=8, seed=seed)
-            table = prototype_state_table()
+            table = prototype.table
             bound = relaxed_upper_bound(scene, layout, table)
             best = exhaustive_optimize(scene, layout, table,
                                        Granularity.GROUP).objective
@@ -329,8 +336,8 @@ class TestRelaxedUpperBound:
 
 
 class TestScalingInvariance:
-    def test_optimizer_choice_invariant_to_common_scaling(self):
-        table = prototype_state_table()
+    def test_optimizer_choice_invariant_to_common_scaling(self, prototype):
+        table = prototype.table
         scene, layout = small_scene(units=6, seed=31)
         scaled = Scene(frequency_hz=scene.frequency_hz, panel=scene.panel,
                        bs_antennas=scene.bs_antennas, users=scene.users,
@@ -344,9 +351,9 @@ class TestScalingInvariance:
 
 
 class TestStatisticalOptimize:
-    def test_infinite_k_factor_matches_plain_greedy(self):
+    def test_infinite_k_factor_matches_plain_greedy(self, prototype):
         scene, layout = small_scene(units=6, seed=41)
-        table = prototype_state_table()
+        table = prototype.table
         plain = greedy_optimize(scene, layout, table, Granularity.GROUP)
         stat = statistical_optimize(scene, layout, table,
                                     FadingModel(math.inf), num_samples=5,
@@ -355,9 +362,9 @@ class TestStatisticalOptimize:
         assert stat.objective == plain.objective
         assert stat.trace == plain.trace
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic_under_seed(self, prototype):
         scene, layout = small_scene(units=5, seed=43)
-        table = prototype_state_table()
+        table = prototype.table
         kw = dict(num_samples=20, granularity=Granularity.GROUP)
         a = statistical_optimize(scene, layout, table, FadingModel(10.0),
                                  seed=3, **kw)
@@ -366,9 +373,9 @@ class TestStatisticalOptimize:
         assert a.config.states == b.config.states
         assert a.objective == b.objective
 
-    def test_chosen_config_beats_all_zero_on_average(self):
+    def test_chosen_config_beats_all_zero_on_average(self, prototype):
         scene, layout = small_scene(units=6, seed=47)
-        table = prototype_state_table()
+        table = prototype.table
         model = FadingModel(10.0)
         out = statistical_optimize(scene, layout, table, model,
                                    num_samples=200, seed=13,

@@ -8,7 +8,7 @@ from omnisim import (CoefficientPair, Configuration, FadingModel,
                      InvalidSceneError, LinkBudgetChain, PanelSpec, Scene,
                      StateTable, ValidationError, assemble_channel,
                      build_layout, channel_geometry, friis_gain, link_budget,
-                     noise_power, prototype_state_table, side_of)
+                     noise_power, side_of)
 from omnisim.channel import SPEED_OF_LIGHT, _hop_gains, draw_realizations
 
 WAVELENGTH_3G6 = SPEED_OF_LIGHT / 3.6e9
@@ -80,15 +80,14 @@ class TestLinkBudget:
 
     def test_prototype_chain_total(self):
         chain = LinkBudgetChain(tx_power_dbm=1.0, items=self.PROTOTYPE_ITEMS)
-        result = link_budget(chain)
-        assert result.received_dbm == pytest.approx(-55.99, abs=1e-9)
+        assert link_budget(chain) == pytest.approx(-55.99, abs=1e-9)
 
     def test_empty_items_returns_tx_power(self):
-        assert link_budget(LinkBudgetChain(5.0, ())).received_dbm == 5.0
+        assert link_budget(LinkBudgetChain(5.0, ())) == 5.0
 
     def test_single_item(self):
         chain = LinkBudgetChain(0.0, (("loss", -3.0),))
-        assert link_budget(chain).received_dbm == -3.0
+        assert link_budget(chain) == -3.0
 
     @given(st.lists(st.floats(min_value=-80, max_value=40), min_size=1,
                     max_size=8),
@@ -97,8 +96,8 @@ class TestLinkBudget:
         items = tuple((f"g{i}", v) for i, v in enumerate(values))
         shuffled = list(items)
         np.random.default_rng(seed).shuffle(shuffled)
-        a = link_budget(LinkBudgetChain(1.0, items)).received_dbm
-        b = link_budget(LinkBudgetChain(1.0, tuple(shuffled))).received_dbm
+        a = link_budget(LinkBudgetChain(1.0, items))
+        b = link_budget(LinkBudgetChain(1.0, tuple(shuffled)))
         assert a == b
 
 
@@ -119,10 +118,10 @@ class TestCascadedChannel:
         assert abs(entry) == pytest.approx(1.0, abs=1e-12)
         assert entry == pytest.approx(np.exp(-4j * math.pi * d / WAVELENGTH_3G6))
 
-    def test_single_element_refraction_product(self):
+    def test_single_element_refraction_product(self, prototype):
         panel = tiny_panel()
         layout = build_layout(panel)
-        table = prototype_state_table()
+        table = prototype.table
         d1, d2 = 1.3, 0.8
         scene = make_scene(panel, [0, 0, d1], [0, 0, -d2])
         H = cascaded(scene, layout, table, Configuration.uniform(1, 1))
@@ -326,10 +325,10 @@ class TestElementFactor:
         h_shaped = cascaded(shaped, layout, table, config)[0, 0]
         assert abs(h_shaped) < abs(h_base)
 
-    def test_q_zero_leaves_gains_untouched(self):
+    def test_q_zero_leaves_gains_untouched(self, prototype):
         panel = tiny_panel(rows=2, cols=2)
         layout = build_layout(panel)
-        table = prototype_state_table()
+        table = prototype.table
         config = Configuration.uniform(4, 1)
         plain = make_scene(panel, [0.2, 0, 1.5], [0.4, 0.1, -0.8])
         explicit = make_scene(panel, [0.2, 0, 1.5], [0.4, 0.1, -0.8],

@@ -389,26 +389,30 @@ class TestThreadsEnv:
 
 
 class TestRoundTrip:
-    def test_parse_serialize_parse_identical(self, tmp_path, prototype):
-        from omnisim import parse_scene, write_scene
-        copy_path = tmp_path / "copy.json"
-        write_scene(prototype, copy_path)
-        reparsed = parse_scene(copy_path)
-        assert reparsed.raw == prototype.raw
-        assert np.array_equal(reparsed.scene.users, prototype.scene.users)
-        assert np.array_equal(reparsed.scene.bs_antennas,
-                              prototype.scene.bs_antennas)
-        assert reparsed.table == prototype.table
-
-    def test_omitted_blocks_resolve_to_defaults_and_round_trip(self, tmp_path):
-        from omnisim import parse_scene, write_scene
-        path = small_scene_file(tmp_path)  # no gains/options blocks
-        parsed = parse_scene(path)
+    def test_canonical_dict_reparses_to_itself(self, tmp_path, prototype):
+        from omnisim import parse_scene, parse_scene_dict
+        assert parse_scene_dict(prototype.raw).raw == prototype.raw
+        parsed = parse_scene(small_scene_file(tmp_path))  # no gains/options blocks
         assert parsed.raw["gains"] == {"tx_db": 0.0, "rx_db": 0.0,
                                        "lna_db": 0.0}
         assert parsed.raw["options"] == {"direct_path": False,
                                          "plane_wave": False,
                                          "element_factor_q": 0.0}
-        copy_path = tmp_path / "resolved.json"
-        write_scene(parsed, copy_path)
-        assert parse_scene(copy_path).raw == parsed.raw
+        assert parse_scene_dict(parsed.raw).raw == parsed.raw
+
+    @pytest.mark.parametrize("scene", ["prototype", "small"])
+    def test_simulate_report_scene_reparses_identically(self, tmp_path, capsys,
+                                                        scene):
+        from omnisim import parse_scene, parse_scene_dict
+        path = (prototype_scene_path() if scene == "prototype"
+                else small_scene_file(tmp_path))
+        report_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "simulate", "--config", path,
+                             "--optimizer", "greedy", "--out", str(report_path))
+        assert code == 0
+        embedded = json.loads(report_path.read_text())["scene"]
+        reparsed, original = parse_scene_dict(embedded), parse_scene(path)
+        assert np.array_equal(reparsed.scene.users, original.scene.users)
+        assert np.array_equal(reparsed.scene.bs_antennas,
+                              original.scene.bs_antennas)
+        assert reparsed.table == original.table

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from omnisim import (CoefficientPair, Configuration, ElementLayout, Granularity,
                      PanelSpec, Side, StateTable, ValidationError, build_layout,
-                     prototype_state_table, quantize_phase, validate_table)
+                     quantize_phase, validate_table)
 
 
 def single_state_table(r_amp=1.0, t_amp=1.0, r_phase=0.0, t_phase=0.0):
@@ -16,13 +16,13 @@ def single_state_table(r_amp=1.0, t_amp=1.0, r_phase=0.0, t_phase=0.0):
 
 
 class TestResponse:
-    def test_prototype_state1_reflection(self):
-        got = prototype_state_table().states[0].coefficient(Side.REFLECTION)
+    def test_prototype_state1_reflection(self, prototype):
+        got = prototype.table.states[0].coefficient(Side.REFLECTION)
         expected = 0.46 * np.exp(1j * math.radians(20.0))
         assert got == pytest.approx(expected)
 
-    def test_prototype_state2_refraction(self):
-        got = prototype_state_table().states[1].coefficient(Side.REFRACTION)
+    def test_prototype_state2_refraction(self, prototype):
+        got = prototype.table.states[1].coefficient(Side.REFRACTION)
         expected = 0.81 * np.exp(1j * math.radians(123.0))
         assert got == pytest.approx(expected)
 
@@ -31,16 +31,16 @@ class TestResponse:
         assert table.states[0].coefficient(Side.REFLECTION) == pytest.approx(1 + 0j)
         assert table.states[0].coefficient(Side.REFRACTION) == pytest.approx(1 + 0j)
 
-    def test_magnitude_never_exceeds_one(self):
-        table = prototype_state_table()
+    def test_magnitude_never_exceeds_one(self, prototype):
+        table = prototype.table
         for pair in table.states:
             for side in Side:
                 assert abs(pair.coefficient(side)) <= 1.0
 
 
 class TestValidateTable:
-    def test_prototype_passes(self):
-        report = validate_table(prototype_state_table())
+    def test_prototype_passes(self, prototype):
+        report = validate_table(prototype.table)
         assert report.passed
         sums = [e.power_sum for e in report.entries]
         assert sums[0] == pytest.approx(0.548, abs=1e-12)
@@ -78,8 +78,8 @@ class TestValidateTable:
             CoefficientPair(reflection_amp=1.2, reflection_phase=0.0,
                             refraction_amp=0.3, refraction_phase=0.0)
 
-    def test_power_ratio_is_a_table_constant(self):
-        table = prototype_state_table()
+    def test_power_ratio_is_a_table_constant(self, prototype):
+        table = prototype.table
         ratios = [(s.refraction_amp / s.reflection_amp) ** 2
                   for s in table.states]
         assert ratios[0] == pytest.approx((0.58 / 0.46) ** 2)
@@ -91,21 +91,33 @@ class TestStateTable:
         with pytest.raises(ValidationError):
             StateTable(states=())
 
-    def test_pin_diode_bound(self):
-        pair = CoefficientPair(0.5, 0.0, 0.5, 0.0)
-        with pytest.raises(ValidationError):
-            StateTable(states=(pair,) * 3, pin_diodes=1)
-        StateTable(states=(pair,) * 4, pin_diodes=2)  # exactly 2^N allowed
+
+PANEL_ARGS = dict(center=[0, 0, 0], normal=[0, 0, 1.0], rows=2, cols=2,
+                  dx=0.03, dy=0.03, group_rows=1, group_cols=1)
+PAIR_ARGS = dict(reflection_amp=0.5, reflection_phase=0.1,
+                 refraction_amp=0.5, refraction_phase=0.2)
+
+
+@pytest.mark.parametrize("build, name", [
+    (PanelSpec, "dx"), (PanelSpec, "dy"),
+    (CoefficientPair, "reflection_phase"), (CoefficientPair, "refraction_phase"),
+])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_dataclasses_reject_non_finite_pitch_and_phase(build, name, value):
+    args = PANEL_ARGS if build is PanelSpec else PAIR_ARGS
+    build(**args)  # the finite baseline is accepted
+    with pytest.raises(ValidationError, match="finite|positive"):
+        build(**{**args, name: value})
 
 
 class TestQuantizePhase:
-    def test_reflection_target_30_degrees(self):
-        idx = quantize_phase(prototype_state_table(), Side.REFLECTION,
+    def test_reflection_target_30_degrees(self, prototype):
+        idx = quantize_phase(prototype.table, Side.REFLECTION,
                              math.radians(30.0))
         assert idx == 0
 
-    def test_refraction_target_120_degrees(self):
-        idx = quantize_phase(prototype_state_table(), Side.REFRACTION,
+    def test_refraction_target_120_degrees(self, prototype):
+        idx = quantize_phase(prototype.table, Side.REFRACTION,
                              math.radians(120.0))
         assert idx == 1
 
@@ -185,8 +197,8 @@ class TestConfiguration:
             ElementLayout(positions=np.zeros((2, 3)), group_of=np.array([0, -1]),
                           u=np.array([1.0, 0, 0]), v=np.array([0, 1.0, 0]))
 
-    def test_validate_against_table(self):
-        table = prototype_state_table()
+    def test_validate_against_table(self, prototype):
+        table = prototype.table
         config = Configuration.uniform(16, 5)
         with pytest.raises(ValidationError):
             config.validate_against(table, self.layout)

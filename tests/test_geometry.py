@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omnisim import (InvalidSceneError, PanelSpec, Side, SideUndefinedError,
-                     ValidationError, build_layout, side_of, specular_direction)
+                     ValidationError, build_layout, side_of)
 
 UNIT_Z = np.array([0.0, 0.0, 1.0])
 
@@ -130,35 +130,3 @@ class TestSideOf:
             assert side_of(self.spec, self.bs, [0, 0, z]) is \
                 side_of(flipped, self.bs, [0, 0, z])
 
-
-class TestSpecularDirection:
-    def test_normal_incidence(self):
-        out = specular_direction([0, 0, -1.0], UNIT_Z)
-        assert np.allclose(out, [0, 0, 1.0])
-
-    def test_mirror_law_30_degrees(self):
-        s, c = np.sin(np.radians(30)), np.cos(np.radians(30))
-        out = specular_direction([s, 0, -c], UNIT_Z)
-        assert np.allclose(out, [s, 0, c])
-
-    def test_grazing_tangential_unchanged(self):
-        out = specular_direction([1.0, 0, 0], UNIT_Z)
-        assert np.allclose(out, [1.0, 0, 0])
-
-    def test_rejects_non_unit_input(self):
-        with pytest.raises(ValidationError):
-            specular_direction([0, 0, -2.0], UNIT_Z)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_preserves_norm_and_involutive(self, seed):
-        gen = np.random.default_rng(seed)
-        d = gen.standard_normal(3)
-        d /= np.linalg.norm(d)
-        n = gen.standard_normal(3)
-        n /= np.linalg.norm(n)
-        out = specular_direction(d, n)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-        # tangential component is untouched
-        assert np.allclose(out - np.dot(out, n) * n,
-                           d - np.dot(d, n) * n, atol=1e-12)
-        assert np.allclose(specular_direction(out, n), d, atol=1e-12)
