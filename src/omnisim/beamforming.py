@@ -60,21 +60,26 @@ def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
             f"too many users for ZF: K={k_users} > Nt={n_antennas}"
         )
     Ht = H.T  # (Nt, K, ...) with the stack axes reversed
-    gram = ordered_sum(Ht[:, :, None] * Ht.conj()[:, None, :])  # (K, K, ...)
-    users = np.arange(k_users)
-    diag = gram[users, users].real
+    if k_users <= 2:  # only the Gram entries the closed form reads
+        diag = ordered_sum(Ht * Ht.conj()).real  # (K, ...)
+        if k_users == 2:
+            off_diag = np.abs(ordered_sum(Ht[:, 0] * Ht[:, 1].conj()))
+    else:
+        gram = ordered_sum(Ht[:, :, None] * Ht.conj()[:, None, :])  # (K, K, ...)
     with np.errstate(all="ignore"):  # degenerate channels are masked below
         if k_users == 1:
             cond = np.where(diag[0] > 0, 1.0, np.inf)
             inverse_diag = 1.0 / diag
         elif k_users == 2:
             a, c = diag
-            half_gap = np.hypot(0.5 * (a - c), np.abs(gram[0, 1]))
-            eig_max = 0.5 * (a + c) + half_gap
-            eig_min = 0.5 * (a + c) - half_gap
+            mean = 0.5 * (a + c)
+            half_gap = np.hypot(0.5 * (a - c), off_diag)
+            eig_max = mean + half_gap
+            eig_min = mean - half_gap
             cond = np.where(eig_min > 0, eig_max / eig_min, np.inf)
             inverse_diag = diag[::-1] / (eig_max * eig_min)
         else:
+            users = np.arange(k_users)
             eye = np.eye(k_users)
             stack = np.moveaxis(gram, (0, 1), (-2, -1))
             finite = np.isfinite(stack).all(axis=(-2, -1))
@@ -86,8 +91,9 @@ def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
         rates = np.log2(1.0 + (total_power_w / k_users) / (noise_power_w * inverse_diag))
     total = ordered_sum(rates)
     degenerate = ~((cond < CONDITION_LIMIT) & np.isfinite(total))
-    rates[:, degenerate] = 0.0
-    total[degenerate] = 0.0
+    if degenerate.any():
+        rates[:, degenerate] = 0.0
+        total[degenerate] = 0.0
     return rates.T, total.T, cond.T, degenerate.T
 
 
@@ -167,13 +173,11 @@ class _UnitProblem:
     """
 
     def __init__(self, scene: Scene, layout: ElementLayout, table: StateTable,
-                 granularity: Granularity, geometry: ChannelGeometry | None = None,
-                 realizations=()):
+                 granularity: Granularity, realizations=()):
         self.layout = layout
         self.granularity = granularity
-        if geometry is None:
-            geometry = channel_geometry(scene, layout)
-        self.kernel = ChannelKernel(geometry, table.coefficient_matrix, realizations)
+        self.kernel = ChannelKernel(channel_geometry(scene, layout),
+                                    table.coefficient_matrix, realizations)
         self.powers = (scene.tx_power_w, scene.noise_power_w)
         self.num_states = table.num_states
         self.num_units = (layout.num_groups if granularity is Granularity.GROUP
@@ -392,11 +396,11 @@ def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     recomputed per realization.  A degenerate (infinite-K) fading model
     reduces exactly to :func:`greedy_optimize`.
     """
-    geometry = channel_geometry(scene, layout)
     realizations = ()
     if not fading_model.is_degenerate:
-        realizations = draw_realizations(fading_model, geometry, seed, num_samples)
+        realizations = draw_realizations(fading_model, channel_geometry(scene, layout),
+                                         seed, num_samples)
     elif num_samples < 1:
         raise ValidationError("num_samples must be at least 1")
-    problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
+    problem = _UnitProblem(scene, layout, table, granularity, realizations)
     return _greedy_sweeps(problem, max_sweeps)

@@ -6,14 +6,17 @@ elements m of
     g(a_n, p_m) * Gamma_m(side_k) * g(p_m, u_k)
 
 where g is the free-space amplitude gain and Gamma_m the element coefficient
-toward the user's side.  Geometry-only factors are precomputed once per
-scene (:func:`channel_geometry`); :class:`ChannelKernel` assembles the
-matrix for one configuration or a batch of them with identical arithmetic.
+toward the user's side.  Geometry-only factors are built once per (scene,
+layout) pair, keyed by object identity (:func:`channel_geometry`): the cache
+holds scenes and layouts weakly and hands every caller the same read-only
+:class:`ChannelGeometry`.  :class:`ChannelKernel` assembles the matrix for
+one configuration or a batch of them with identical arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,8 +70,10 @@ class Scene:
                 raise ValidationError(f"{name} must be finite")
         if not 0 <= self.element_factor_q < math.inf:
             raise ValidationError("element_factor_q must be non-negative and finite")
-        bs = np.atleast_2d(np.asarray(self.bs_antennas, dtype=float))
-        users = np.atleast_2d(np.asarray(self.users, dtype=float))
+        # Frozen copies, so the caller's arrays stay writable and a write to
+        # them cannot reach a cached channel geometry.
+        bs = np.atleast_2d(np.array(self.bs_antennas, dtype=float))
+        users = np.atleast_2d(np.array(self.users, dtype=float))
         for name, arr in (("bs antennas", bs), ("users", users)):
             if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
                 raise ValidationError(f"{name} must be a non-empty list of [x, y, z]")
@@ -265,10 +270,33 @@ class ChannelGeometry:
         return self.bs_to_element.shape[1]
 
 
+# scene -> layout -> geometry, both levels weak: an entry lives as long as
+# its scene and layout.  Two threads that miss at once both build the same
+# read-only values, and the last one stored is kept.
+_GEOMETRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def channel_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
-    """Precompute the geometry-only channel factors for a scene."""
+    """The geometry-only channel factors of a scene and layout.
+
+    Built once per (scene, layout) pair, keyed by object identity: later
+    calls return the same read-only :class:`ChannelGeometry`.  Scenes and
+    layouts own frozen copies of their arrays, so an entry never goes stale,
+    and the cache holds both weakly, so it keeps nothing alive.
+    """
     if layout.num_elements != scene.panel.num_elements:
         raise ValidationError("layout does not match the scene's panel")
+    geometries = _GEOMETRIES.get(scene)
+    if geometries is None:
+        geometries = _GEOMETRIES[scene] = weakref.WeakKeyDictionary()
+    geometry = geometries.get(layout)
+    if geometry is None:
+        geometry = geometries[layout] = _build_geometry(scene, layout)
+    return geometry
+
+
+def _build_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
+    """:func:`channel_geometry` without the cache, of a matching layout."""
     if scene.plane_wave_incidence:
         # Unit-amplitude plane wave per antenna, travelling antenna -> panel
         # centre; phase referenced to the panel centre.

@@ -133,10 +133,18 @@ class ElementLayout:
     v: Vec3
 
     def __post_init__(self):
-        if (self.group_of < 0).any():
+        # Frozen copies, so the caller's arrays stay writable and a write to
+        # them cannot reach a cached channel geometry.
+        positions = np.array(self.positions, dtype=float)
+        group_of = np.array(self.group_of)
+        if (group_of < 0).any():
             raise ValidationError("group indices must be non-negative")
-        self.positions.setflags(write=False)
-        self.group_of.setflags(write=False)
+        positions.setflags(write=False)
+        group_of.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "group_of", group_of)
+        object.__setattr__(self, "u", as_vec3(self.u, "layout u"))
+        object.__setattr__(self, "v", as_vec3(self.v, "layout v"))
 
     @property
     def num_elements(self) -> int:

@@ -385,7 +385,7 @@ class TestStatisticalOptimize:
         geometry = channel_geometry(scene, layout)
         realizations = draw_realizations(model, geometry, 13, 200)
         problem = _UnitProblem(scene, layout, table, Granularity.GROUP,
-                               geometry, realizations)
+                               realizations)
         (zero, chosen), _ = problem.score(problem.partials(np.array(
             [[0] * problem.num_units, out.config.group_states(layout)])))
         assert chosen >= zero

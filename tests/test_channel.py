@@ -1,14 +1,17 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omnisim import (CoefficientPair, Configuration, FadingModel,
-                     InvalidSceneError, LinkBudgetChain, PanelSpec, Scene,
-                     StateTable, ValidationError, assemble_channel,
-                     build_layout, channel_geometry, friis_gain, link_budget,
-                     noise_power, side_of)
+from omnisim import (CoefficientPair, Configuration, ElementLayout, FadingModel,
+                     Granularity, InvalidSceneError, LinkBudgetChain, PanelSpec,
+                     Scene, StateTable, ValidationError, assemble_channel,
+                     build_layout, channel, channel_geometry, exhaustive_optimize,
+                     friis_gain, greedy_optimize, link_budget, noise_power,
+                     relaxed_upper_bound, side_of, sum_rate)
 from omnisim.channel import SPEED_OF_LIGHT, _hop_gains, draw_realizations
 
 WAVELENGTH_3G6 = SPEED_OF_LIGHT / 3.6e9
@@ -384,3 +387,112 @@ class TestFading:
         assert real[0].direct is not None
         assert real[0].direct.shape == (1, 1)
         assert not np.array_equal(real[0].direct, real[1].direct)
+
+
+def geometry_arrays(geometry):
+    return [geometry.bs_to_element, geometry.element_to_user,
+            geometry.user_side_index, geometry.group_of]
+
+
+def assert_geometry_is(scene, layout, arrays):
+    """Both the cached geometry and a fresh build have these arrays."""
+    for geometry in (channel_geometry(scene, layout), channel._build_geometry(scene, layout)):
+        for got, want in zip(geometry_arrays(geometry), arrays):
+            assert np.array_equal(got, want)
+
+
+class TestOwnedArrays:
+    """Scenes and layouts freeze copies of their arrays: the caller's arrays
+    stay writable, and writing to them changes neither the object nor its
+    (cached) geometry."""
+
+    def test_scene_copies_terminals(self):
+        panel = tiny_panel(rows=2, cols=2)
+        layout = build_layout(panel)
+        bs = np.array([0.1, 0.0, 1.0])  # 1-D: the scene holds a (1, 3) array
+        users = np.array([[0.3, 0.0, 0.8], [0.1, 0.2, -0.9]])
+        scene = make_scene(panel, bs, users)
+        before = [a.copy() for a in geometry_arrays(channel_geometry(scene, layout))]
+        bs[0] += 0.5
+        users[0, 0] += 0.5
+        assert bs.flags.writeable and users.flags.writeable
+        assert not scene.bs_antennas.flags.writeable
+        assert not scene.users.flags.writeable
+        assert scene.bs_antennas.tolist() == [[0.1, 0.0, 1.0]]
+        assert scene.users.tolist() == [[0.3, 0.0, 0.8], [0.1, 0.2, -0.9]]
+        assert_geometry_is(scene, layout, before)
+
+    def test_layout_copies_its_arrays(self):
+        panel = tiny_panel(rows=2, cols=2)
+        built = build_layout(panel)
+        given = [built.positions.copy(), built.group_of.copy(), built.u.copy(), built.v.copy()]
+        layout = ElementLayout(*given)
+        scene = make_scene(panel, [0.1, 0.0, 1.0], [0.3, 0.0, 0.8])
+        before = [a.copy() for a in geometry_arrays(channel_geometry(scene, layout))]
+        for array in given:
+            array[0] += 3
+        owned = [layout.positions, layout.group_of, layout.u, layout.v]
+        assert all(array.flags.writeable for array in given)
+        assert not any(array.flags.writeable for array in owned)
+        for got, want in zip(owned, [built.positions, built.group_of, built.u, built.v]):
+            assert np.array_equal(got, want)
+        assert_geometry_is(scene, layout, before)
+
+
+class TestGeometryCache:
+    """``channel_geometry`` builds once per (scene, layout) identity and
+    holds both weakly."""
+
+    def world(self):
+        panel = tiny_panel(rows=1, cols=4, dx=0.1)
+        scene = make_scene(panel, [[0.0, 0.0, 1.0], [0.2, 0.0, 1.0]],
+                           [[0.4, 0.1, 0.8], [-0.3, 0.2, -0.9]])
+        return scene, build_layout(panel)
+
+    def test_one_build_per_oracle_solve(self, prototype, monkeypatch):
+        """Exhaustive and greedy search, the bound and two rate checks, as
+        the brute-force oracle runs them, share one geometry build."""
+        builds = []
+        build = channel._build_geometry
+
+        def counted(scene, layout):
+            builds.append(scene)
+            return build(scene, layout)
+
+        monkeypatch.setattr(channel, "_build_geometry", counted)
+        scene, layout = self.world()
+        table = prototype.table
+        best = exhaustive_optimize(scene, layout, table, Granularity.GROUP)
+        greedy = greedy_optimize(scene, layout, table, Granularity.GROUP)
+        assert relaxed_upper_bound(scene, layout, table) >= best.objective
+        assert sum_rate(scene, layout, table, best.config) == best.objective
+        assert sum_rate(scene, layout, table, greedy.config) == greedy.objective
+        assert len(builds) == 1 and builds[0] is scene
+
+    def test_same_object_per_pair(self):
+        scene, layout = self.world()
+        geometry = channel_geometry(scene, layout)
+        assert channel_geometry(scene, layout) is geometry
+        other_layout = build_layout(scene.panel)
+        other = channel_geometry(scene, other_layout)
+        assert other is not geometry
+        assert channel_geometry(scene, other_layout) is other
+        for a, b in zip(geometry_arrays(geometry), geometry_arrays(other)):
+            assert np.array_equal(a, b)
+        assert not geometry.bs_to_element.flags.writeable
+
+    def test_keeps_nothing_alive(self):
+        scene, layout = self.world()
+        geometry = channel_geometry(scene, layout)
+        refs = [weakref.ref(x) for x in (scene, layout, geometry)]
+        del scene, layout, geometry
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+
+    def test_layout_mismatch_raises_on_every_call(self):
+        scene, layout = self.world()
+        channel_geometry(scene, layout)
+        mismatched = build_layout(tiny_panel(rows=1, cols=2))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="layout does not match"):
+                channel_geometry(scene, mismatched)

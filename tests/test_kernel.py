@@ -154,7 +154,7 @@ class TestBatchInvariance:
         realizations = ()
         if faded:
             realizations = draw_realizations(FadingModel(6.0), geometry, seed % 1000, 3)
-        problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
+        problem = _UnitProblem(scene, layout, table, granularity, realizations)
         gen = np.random.default_rng(seed)
         candidates = gen.integers(0, table.num_states, (size, problem.num_units))
         batch, degenerate = problem.score(problem.partials(candidates))
@@ -184,7 +184,7 @@ class TestBatchInvariance:
         realizations = ()
         if faded:
             realizations = draw_realizations(FadingModel(6.0), geometry, seed % 1000, 2)
-        problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
+        problem = _UnitProblem(scene, layout, table, granularity, realizations)
         gen = np.random.default_rng(seed)
         states = gen.integers(0, table.num_states, problem.num_units)
         units = gen.integers(0, problem.num_units, size)
@@ -388,7 +388,7 @@ class TestSpeculativeGreedy:
                 realizations = draw_realizations(model, geometry, seed, num_samples)
             else:
                 out = greedy_optimize(scene, layout, table, granularity)
-        problem = _UnitProblem(scene, layout, table, granularity, geometry, realizations)
+        problem = _UnitProblem(scene, layout, table, granularity, realizations)
         states, trace, evaluations, degenerate = sequential_greedy(problem)
         assert out.config == unit_config(layout, granularity, states)
         assert out.trace == tuple(trace)
