@@ -178,8 +178,8 @@ def coverage_map(scene: Scene, layout: ElementLayout, table: StateTable,
     """Spectral efficiency of a virtual single-antenna user in every cell.
 
     Cell (ix, iy) sits at center + x*normal + y*u; cells within 1e-9 m of
-    the panel plane are masked with NaN.  Like ``sum_rate``, the map leaves
-    out the scene's antenna and LNA gains (:func:`snr_at` includes them).
+    the panel plane are masked with NaN.  Link gains: see
+    :mod:`omnisim.channel`.
     """
     config.validate_against(table, layout)
     geometry = channel_geometry(scene, layout)
@@ -200,9 +200,7 @@ def coverage_map(scene: Scene, layout: ElementLayout, table: StateTable,
 
 def snr_at(scene: Scene, layout: ElementLayout, table: StateTable,
            config: Configuration, point) -> float:
-    """Received SNR in dB at a point, folding the scene's antenna and LNA
-    gains into the chain (which :func:`coverage_map` and ``sum_rate`` leave
-    out)."""
+    """Received SNR in dB at a point.  Link gains: see :mod:`omnisim.channel`."""
     points = np.asarray(point, dtype=float)[None, :]
     sides = scene.point_sides(points)
     if sides[0] == 0:

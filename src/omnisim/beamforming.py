@@ -149,7 +149,8 @@ def evaluate_rates(scene: Scene, layout: ElementLayout, table: StateTable,
 
 def sum_rate(scene: Scene, layout: ElementLayout, table: StateTable,
              config: Configuration) -> float:
-    """ZF sum rate in bits/s/Hz; 0 for degenerate (rank-failed) channels."""
+    """ZF sum rate in bits/s/Hz; 0 for degenerate (rank-failed) channels.
+    Link gains: see :mod:`omnisim.channel`."""
     return evaluate_rates(scene, layout, table, config).sum_rate
 
 

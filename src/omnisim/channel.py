@@ -11,6 +11,11 @@ layout) pair, keyed by object identity (:func:`channel_geometry`): the cache
 holds scenes and layouts weakly and hands every caller the same read-only
 :class:`ChannelGeometry`.  :class:`ChannelKernel` assembles the matrix for
 one configuration or a batch of them with identical arithmetic.
+
+Link gains: ``sum_rate``, the optimizers and ``coverage_map`` use the
+free-space channel with the scene's transmit and noise power only;
+``snr_at`` and the link budget add ``tx_gain_db + rx_gain_db +
+lna_gain_db``.
 """
 
 from __future__ import annotations
@@ -234,28 +239,21 @@ class ChannelGeometry:
     ``bs_to_element`` is (Nt, M), ``element_to_user`` (K, M); ``direct`` is
     (K, Nt) with zeros where no direct path applies, or None when disabled.
     ``user_side_index`` holds 0 for reflection-side users, 1 for refraction.
-    ``group_of`` (M,) fixes the order in which elements are summed.
+    ``members`` is the layout's (G, m) :attr:`ElementLayout.members`; it
+    fixes the order in which elements are summed.
     """
 
     bs_to_element: np.ndarray
     element_to_user: np.ndarray
     user_side_index: np.ndarray
     direct: np.ndarray | None
-    group_of: np.ndarray
+    members: np.ndarray
 
     def __post_init__(self):
         for arr in (self.bs_to_element, self.element_to_user, self.user_side_index,
-                    self.direct, self.group_of):
+                    self.direct, self.members):
             if arr is not None:
                 arr.setflags(write=False)
-
-    @cached_property
-    def group_members(self) -> np.ndarray:
-        """(G, m) element indices of each group, ascending."""
-        counts = np.bincount(self.group_of)
-        if (counts != counts[0]).any():
-            raise ValidationError("groups must have equal numbers of elements")
-        return np.argsort(self.group_of, kind="stable").reshape(len(counts), -1)
 
     @property
     def num_antennas(self) -> int:
@@ -316,7 +314,7 @@ def _build_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
         element_to_user=_hop_gains(scene.users, layout, scene),
         user_side_index=(sides < 0).astype(np.int64),
         direct=_direct_gains(scene.users, sides, scene) if scene.direct_path else None,
-        group_of=layout.group_of)
+        members=layout.members)
 
 
 @dataclass(frozen=True)
@@ -404,7 +402,7 @@ class ChannelKernel:
                  fading=()):
         self.geometry = geometry
         self.fading = fading
-        self.members = geometry.group_members
+        self.members = geometry.members
         self.coefficients = coefficient_matrix
         self.direct = geometry.direct
         # Both operands of a fading product carry the realization axis: numpy

@@ -226,17 +226,11 @@ class Configuration:
         """Recover per-group states; requires group members to agree."""
         if len(self.states) != layout.num_elements:
             raise ValidationError("configuration length does not match layout")
-        states = np.asarray(self.states)
-        first = np.full(layout.num_groups, len(states))  # lowest member; len: none
-        np.minimum.at(first, layout.group_of, np.arange(len(states)))
-        head = np.append(states, -1)[first]  # each group's state; -1: no elements
-        bad = head < 0
-        bad[layout.group_of[states != head[layout.group_of]]] = True
+        states = np.asarray(self.states)[layout.members]  # (G, m)
+        bad = (states != states[:, :1]).any(axis=1)
         if bad.any():
-            g = int(np.argmax(bad))
-            raise ValidationError(f"group {g} has no elements" if head[g] < 0
-                                  else f"group {g} members disagree on state")
-        return tuple(head.tolist())
+            raise ValidationError(f"group {int(np.argmax(bad))} members disagree on state")
+        return tuple(states[:, 0].tolist())
 
     def validate_against(self, table: StateTable, layout) -> None:
         if len(self.states) != layout.num_elements:

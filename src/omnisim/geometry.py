@@ -125,7 +125,11 @@ class PanelSpec:
 
 @dataclass(frozen=True, eq=False)
 class ElementLayout:
-    """Element centres (row-major), group membership, and the panel basis."""
+    """Element centres (row-major), group membership, and the panel basis.
+
+    Groups 0..G-1 all hold the same number m of elements: searches and
+    channels work on the (G, m) ``members`` array.
+    """
 
     positions: np.ndarray  # (M, 3)
     group_of: np.ndarray   # (M,) int
@@ -137,8 +141,15 @@ class ElementLayout:
         # them cannot reach a cached channel geometry.
         positions = np.array(self.positions, dtype=float)
         group_of = np.array(self.group_of)
-        if (group_of < 0).any():
-            raise ValidationError("group indices must be non-negative")
+        if group_of.ndim != 1 or positions.shape != (len(group_of), 3):
+            raise ValidationError("a layout needs (M, 3) positions and M group indices")
+        if group_of.size == 0:
+            raise ValidationError("a layout needs at least one element")
+        if not np.issubdtype(group_of.dtype, np.integer) or (group_of < 0).any():
+            raise ValidationError("group indices must be non-negative integers")
+        counts = np.bincount(group_of)
+        if (counts != counts[0]).any():
+            raise ValidationError("groups must have equal numbers of elements")
         positions.setflags(write=False)
         group_of.setflags(write=False)
         object.__setattr__(self, "positions", positions)
@@ -150,9 +161,17 @@ class ElementLayout:
     def num_elements(self) -> int:
         return self.positions.shape[0]
 
+    @cached_property
+    def members(self) -> np.ndarray:
+        """(G, m) element indices of each group, ascending."""
+        members = np.argsort(self.group_of, kind="stable").reshape(
+            int(self.group_of.max()) + 1, -1)
+        members.setflags(write=False)
+        return members
+
     @property
     def num_groups(self) -> int:
-        return int(self.group_of.max()) + 1
+        return len(self.members)
 
 
 def build_layout(spec: PanelSpec) -> ElementLayout:

@@ -1,10 +1,16 @@
 """Scene file ingestion.
 
 Scene files are strict JSON: unknown keys are rejected everywhere, units are
-spelled out in key suffixes, phases are degrees at this boundary only.  A
-parsed scene keeps its canonical dict (defaults resolved), which the
-``simulate`` report embeds; parsing that dict again gives the same dict and
-identical domain objects.
+spelled out in key suffixes, phases are degrees at this boundary only.
+
+The key tables below are the one definition of the format.  Each JSON
+object has a table that maps its keys, in canonical order, to ``(parser,)``
+for a required key or ``(parser, default)`` for an optional one; a default
+of None leaves an absent key absent.  A default goes through the same parser
+as a given value, and an explicit JSON ``null`` is never read as absent.
+Parsing a document gives its canonical dict (defaults resolved, keys in
+table order), which the ``simulate`` report embeds; parsing that dict again
+gives the same dict and identical domain objects.
 """
 
 from __future__ import annotations
@@ -20,12 +26,6 @@ from .channel import Scene
 from .elements import CoefficientPair, StateTable, validate_table
 from .errors import OmnisimError, ValidationError
 from .geometry import PanelSpec
-
-_PANEL_KEYS = ("rows", "cols", "dx_m", "dy_m", "group_rows", "group_cols",
-               "center", "normal")
-_POWER_KEYS = ("tx_dbm", "bandwidth_hz", "noise_figure_db")
-_GAIN_KEYS = ("tx_db", "rx_db", "lna_db")
-_OPTION_KEYS = ("direct_path", "plane_wave", "element_factor_q")
 
 
 def _fail(path: str, message: str):
@@ -69,11 +69,59 @@ def _vec3(obj, path: str) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
-def _coefficient(obj, path: str) -> tuple[float, float]:
-    _check_keys(obj, path, required=("amp", "phase_deg"))
-    amp = _number(obj["amp"], f"{path}.amp")
-    phase = _number(obj["phase_deg"], f"{path}.phase_deg")
-    return amp, phase
+def _list_of(item, message: str):
+    """Parser of a non-empty JSON list whose entries ``item`` parses."""
+    def parse(obj, path: str) -> list:
+        if not isinstance(obj, list) or not obj:
+            _fail(path, message)
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+    return parse
+
+
+def _block(table: dict):
+    """Parser of a JSON object declared by a key table (module docstring)."""
+    required = tuple(key for key, spec in table.items() if len(spec) == 1)
+    optional = tuple(key for key, spec in table.items() if len(spec) == 2)
+
+    def parse(obj, path: str) -> dict:
+        _check_keys(obj, path, required, optional)
+        out = {}
+        for key, (parser, *default) in table.items():
+            if key in obj:
+                out[key] = parser(obj[key], f"{path}.{key}")
+            elif default[0] is not None:  # required keys are never absent here
+                out[key] = parser(default[0], f"{path}.{key}")
+        return out
+    return parse
+
+
+_PANEL = {"rows": (_integer,), "cols": (_integer,), "dx_m": (_number,),
+          "dy_m": (_number,), "group_rows": (_integer,),
+          "group_cols": (_integer,), "center": (_vec3,), "normal": (_vec3,)}
+_COEFFICIENT = {"amp": (_number,), "phase_deg": (_number,)}
+_STATE = {"reflection": (_block(_COEFFICIENT),),
+          "refraction": (_block(_COEFFICIENT),),
+          "declared_power_r": (_number, None),
+          "declared_power_t": (_number, None)}
+_BS = {"antennas": (_list_of(_vec3, "at least one BS antenna required"),)}
+_POWER = {"tx_dbm": (_number,), "bandwidth_hz": (_number,),
+          "noise_figure_db": (_number,)}
+_GAINS = {"tx_db": (_number, 0.0), "rx_db": (_number, 0.0),
+          "lna_db": (_number, 0.0)}
+_OPTIONS = {"direct_path": (_boolean, False), "plane_wave": (_boolean, False),
+            "element_factor_q": (_number, 0.0)}
+_SCENE = {
+    "frequency_hz": (_number,),
+    "panel": (_block(_PANEL),),
+    "state_table": (_list_of(_block(_STATE),
+                             "expected a non-empty list of states"),),
+    "bs": (_block(_BS),),
+    "users": (_list_of(_vec3, "at least one user required"),),
+    "power": (_block(_POWER),),
+    "gains": (_block(_GAINS), {}),
+    "options": (_block(_OPTIONS), {}),
+}
+_parse_document = _block(_SCENE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,51 +139,25 @@ class ParsedScene:
 
 def parse_scene_dict(data: dict, source: str = "<dict>") -> ParsedScene:
     """Validate a scene document and build the domain objects."""
-    _check_keys(data, source,
-                required=("frequency_hz", "panel", "state_table", "bs",
-                          "users", "power"),
-                optional=("gains", "options"))
-    frequency = _number(data["frequency_hz"], f"{source}.frequency_hz")
-
-    panel_obj = data["panel"]
-    _check_keys(panel_obj, f"{source}.panel", required=_PANEL_KEYS)
+    raw = _parse_document(data, source)
     try:
-        panel = PanelSpec(
-            center=_vec3(panel_obj["center"], f"{source}.panel.center"),
-            normal=_vec3(panel_obj["normal"], f"{source}.panel.normal"),
-            rows=_integer(panel_obj["rows"], f"{source}.panel.rows"),
-            cols=_integer(panel_obj["cols"], f"{source}.panel.cols"),
-            dx=_number(panel_obj["dx_m"], f"{source}.panel.dx_m"),
-            dy=_number(panel_obj["dy_m"], f"{source}.panel.dy_m"),
-            group_rows=_integer(panel_obj["group_rows"], f"{source}.panel.group_rows"),
-            group_cols=_integer(panel_obj["group_cols"], f"{source}.panel.group_cols"),
-        )
+        panel = PanelSpec(**{key.removesuffix("_m"): value
+                             for key, value in raw["panel"].items()})
     except ValidationError as exc:
         _fail(f"{source}.panel", str(exc))
 
-    table_obj = data["state_table"]
-    if not isinstance(table_obj, list) or not table_obj:
-        _fail(f"{source}.state_table", "expected a non-empty list of states")
     states = []
-    for i, entry in enumerate(table_obj):
-        path = f"{source}.state_table[{i}]"
-        _check_keys(entry, path, required=("reflection", "refraction"),
-                    optional=("declared_power_r", "declared_power_t"))
-        r_amp, r_phase = _coefficient(entry["reflection"], f"{path}.reflection")
-        t_amp, t_phase = _coefficient(entry["refraction"], f"{path}.refraction")
-        declared_r = (_number(entry["declared_power_r"], f"{path}.declared_power_r")
-                      if "declared_power_r" in entry else None)
-        declared_t = (_number(entry["declared_power_t"], f"{path}.declared_power_t")
-                      if "declared_power_t" in entry else None)
+    for i, entry in enumerate(raw["state_table"]):
+        r, t = entry["reflection"], entry["refraction"]
         try:
             states.append(CoefficientPair(
-                reflection_amp=r_amp, reflection_phase=math.radians(r_phase),
-                refraction_amp=t_amp, refraction_phase=math.radians(t_phase),
-                declared_reflection_power=declared_r,
-                declared_refraction_power=declared_t,
+                reflection_amp=r["amp"], reflection_phase=math.radians(r["phase_deg"]),
+                refraction_amp=t["amp"], refraction_phase=math.radians(t["phase_deg"]),
+                declared_reflection_power=entry.get("declared_power_r"),
+                declared_refraction_power=entry.get("declared_power_t"),
             ))
         except ValidationError as exc:
-            _fail(path, str(exc))
+            _fail(f"{source}.state_table[{i}]", str(exc))
     table = StateTable(states=tuple(states))
     report = validate_table(table)
     for entry in report.failures():
@@ -147,90 +169,23 @@ def parse_scene_dict(data: dict, source: str = "<dict>") -> ParsedScene:
                     f" (residuals r={entry.reflection_power_residual},"
                     f" t={entry.refraction_power_residual})")
 
-    bs_obj = data["bs"]
-    _check_keys(bs_obj, f"{source}.bs", required=("antennas",))
-    antennas = bs_obj["antennas"]
-    if not isinstance(antennas, list) or not antennas:
-        _fail(f"{source}.bs.antennas", "at least one BS antenna required")
-    bs = [_vec3(a, f"{source}.bs.antennas[{i}]") for i, a in enumerate(antennas)]
-
-    users_obj = data["users"]
-    if not isinstance(users_obj, list) or not users_obj:
-        _fail(f"{source}.users", "at least one user required")
-    users = [_vec3(u, f"{source}.users[{i}]") for i, u in enumerate(users_obj)]
-
-    power_obj = data["power"]
-    _check_keys(power_obj, f"{source}.power", required=_POWER_KEYS)
-    tx_dbm = _number(power_obj["tx_dbm"], f"{source}.power.tx_dbm")
-    bandwidth = _number(power_obj["bandwidth_hz"], f"{source}.power.bandwidth_hz")
-    noise_figure = _number(power_obj["noise_figure_db"],
-                           f"{source}.power.noise_figure_db")
-
-    gains_obj = data.get("gains", {})
-    _check_keys(gains_obj, f"{source}.gains", required=(), optional=_GAIN_KEYS)
-    tx_gain = _number(gains_obj.get("tx_db", 0.0), f"{source}.gains.tx_db")
-    rx_gain = _number(gains_obj.get("rx_db", 0.0), f"{source}.gains.rx_db")
-    lna_gain = _number(gains_obj.get("lna_db", 0.0), f"{source}.gains.lna_db")
-
-    options_obj = data.get("options", {})
-    _check_keys(options_obj, f"{source}.options", required=(),
-                optional=_OPTION_KEYS)
-    direct_path = _boolean(options_obj.get("direct_path", False),
-                           f"{source}.options.direct_path")
-    plane_wave = _boolean(options_obj.get("plane_wave", False),
-                          f"{source}.options.plane_wave")
-    factor_q = _number(options_obj.get("element_factor_q", 0.0),
-                       f"{source}.options.element_factor_q")
-
+    power, gains, options = raw["power"], raw["gains"], raw["options"]
     try:
         scene = Scene(
-            frequency_hz=frequency, panel=panel,
-            bs_antennas=np.array(bs, dtype=float),
-            users=np.array(users, dtype=float),
-            tx_power_dbm=tx_dbm, bandwidth_hz=bandwidth,
-            noise_figure_db=noise_figure,
-            tx_gain_db=tx_gain, rx_gain_db=rx_gain, lna_gain_db=lna_gain,
-            direct_path=direct_path, plane_wave_incidence=plane_wave,
-            element_factor_q=factor_q,
+            frequency_hz=raw["frequency_hz"], panel=panel,
+            bs_antennas=np.array(raw["bs"]["antennas"], dtype=float),
+            users=np.array(raw["users"], dtype=float),
+            tx_power_dbm=power["tx_dbm"], bandwidth_hz=power["bandwidth_hz"],
+            noise_figure_db=power["noise_figure_db"],
+            tx_gain_db=gains["tx_db"], rx_gain_db=gains["rx_db"],
+            lna_gain_db=gains["lna_db"],
+            direct_path=options["direct_path"],
+            plane_wave_incidence=options["plane_wave"],
+            element_factor_q=options["element_factor_q"],
         )
     except OmnisimError as exc:
         _fail(source, str(exc))
-
-    raw = {
-        "frequency_hz": frequency,
-        "panel": {
-            "rows": panel.rows, "cols": panel.cols,
-            "dx_m": panel.dx, "dy_m": panel.dy,
-            "group_rows": panel.group_rows, "group_cols": panel.group_cols,
-            "center": [float(x) for x in panel.center],
-            "normal": [float(x) for x in panel.normal],
-        },
-        "state_table": [
-            _state_dict(entry) for entry in table_obj
-        ],
-        "bs": {"antennas": bs},
-        "users": users,
-        "power": {"tx_dbm": tx_dbm, "bandwidth_hz": bandwidth,
-                  "noise_figure_db": noise_figure},
-        "gains": {"tx_db": tx_gain, "rx_db": rx_gain, "lna_db": lna_gain},
-        "options": {"direct_path": direct_path, "plane_wave": plane_wave,
-                    "element_factor_q": factor_q},
-    }
     return ParsedScene(scene=scene, table=table, raw=raw)
-
-
-def _state_dict(entry: dict) -> dict:
-    out = {
-        "reflection": {"amp": float(entry["reflection"]["amp"]),
-                       "phase_deg": float(entry["reflection"]["phase_deg"])},
-        "refraction": {"amp": float(entry["refraction"]["amp"]),
-                       "phase_deg": float(entry["refraction"]["phase_deg"])},
-    }
-    if "declared_power_r" in entry:
-        out["declared_power_r"] = float(entry["declared_power_r"])
-    if "declared_power_t" in entry:
-        out["declared_power_t"] = float(entry["declared_power_t"])
-    return out
 
 
 def parse_scene(path) -> ParsedScene:

@@ -391,7 +391,7 @@ class TestFading:
 
 def geometry_arrays(geometry):
     return [geometry.bs_to_element, geometry.element_to_user,
-            geometry.user_side_index, geometry.group_of]
+            geometry.user_side_index, geometry.members]
 
 
 def assert_geometry_is(scene, layout, arrays):

@@ -1,11 +1,13 @@
+import copy
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from omnisim import prototype_scene_path
+from omnisim import ValidationError, parse_scene_dict, prototype_scene_path
 from omnisim.cli import main
 
 
@@ -36,6 +38,28 @@ def small_scene_file(tmp_path, name="scene.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# Leaf paths of the prototype document, as key/index tuples.
+SCENE_LEAVES = (
+    [("panel", key) for key in ("rows", "cols", "dx_m", "dy_m", "group_rows",
+                                "group_cols", "center", "normal")]
+    + [("panel", vec, i) for vec in ("center", "normal") for i in range(3)]
+    + [("state_table", 0, "reflection", "amp"), ("bs", "antennas", 0, 1),
+       ("users", 1, 2)]
+    + [("power", key) for key in ("tx_dbm", "bandwidth_hz", "noise_figure_db")]
+    + [("gains", key) for key in ("tx_db", "rx_db", "lna_db")]
+    + [("options", key) for key in ("direct_path", "plane_wave", "element_factor_q")]
+)
+
+
+OPTIONAL_VALUES = {"tx_db": st.floats(-30, 30), "rx_db": st.floats(-30, 30),
+                   "lna_db": st.floats(-30, 30), "direct_path": st.booleans(),
+                   "plane_wave": st.booleans(), "element_factor_q": st.floats(0, 4)}
+
+
+def leaf_name(leaf) -> str:
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in leaf)[1:]
 
 
 class TestLinkBudget:
@@ -324,6 +348,26 @@ class TestSceneErrors:
         assert code == 2
         assert "passivity" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("leaf", SCENE_LEAVES, ids=leaf_name)
+    def test_wrong_value_names_its_leaf_once(self, prototype, leaf):
+        """A wrong value anywhere is reported once, at its own path."""
+        *parents, last = leaf
+        original = prototype.raw
+        for p in leaf:
+            original = original[p]
+        for value in (float("nan"), float("inf"), None, "1",
+                      1 if isinstance(original, bool) else True):
+            doc = copy.deepcopy(prototype.raw)
+            node = doc
+            for p in parents:
+                node = node[p]
+            node[last] = value
+            with pytest.raises(ValidationError) as info:
+                parse_scene_dict(doc, source="S")
+            message = str(info.value)
+            assert message.startswith(f"S.{leaf_name(leaf)}: "), (value, message)
+            assert message.count("S.") == 1, (value, message)
+
     def test_unknown_flag_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--bogus", "1")
         assert code == 2
@@ -399,6 +443,51 @@ class TestRoundTrip:
                                          "plane_wave": False,
                                          "element_factor_q": 0.0}
         assert parse_scene_dict(parsed.raw).raw == parsed.raw
+
+    @given(st.data())
+    def test_canonical_dict_is_a_fixed_point_in_key_order(self, prototype, data):
+        """Whatever optional keys a document gives, in whatever order, its
+        canonical dict reparses to itself and lists every block's keys in
+        format order (the simulate report embeds it, so key order is report
+        bytes)."""
+        doc = copy.deepcopy(prototype.raw)
+        doc = {key: doc[key] for key in data.draw(st.permutations(list(doc)))}
+        doc["panel"] = {key: doc["panel"][key]
+                        for key in data.draw(st.permutations(list(doc["panel"])))}
+        for block in ("gains", "options"):
+            if not data.draw(st.booleans(), label=f"has {block}"):
+                del doc[block]
+                continue
+            keys = data.draw(st.lists(st.sampled_from(list(doc[block])), unique=True),
+                             label=f"{block} keys")
+            doc[block] = {key: data.draw(OPTIONAL_VALUES[key], label=key)
+                          for key in keys}
+        for state in doc["state_table"]:
+            for key in ("declared_power_r", "declared_power_t"):
+                if not data.draw(st.booleans(), label=key):
+                    del state[key]
+        raw = parse_scene_dict(doc).raw
+        again = parse_scene_dict(raw).raw
+        assert again == raw and json.dumps(again) == json.dumps(raw)
+        assert list(raw) == ["frequency_hz", "panel", "state_table", "bs",
+                             "users", "power", "gains", "options"]
+        assert list(raw["panel"]) == ["rows", "cols", "dx_m", "dy_m", "group_rows",
+                                      "group_cols", "center", "normal"]
+        for given_state, state in zip(doc["state_table"], raw["state_table"]):
+            assert list(state) == [key for key in ("reflection", "refraction",
+                                                   "declared_power_r",
+                                                   "declared_power_t")
+                                   if key in given_state]
+            for side in ("reflection", "refraction"):
+                assert list(state[side]) == ["amp", "phase_deg"]
+        assert list(raw["bs"]) == ["antennas"]
+        assert list(raw["power"]) == ["tx_dbm", "bandwidth_hz", "noise_figure_db"]
+        assert raw["gains"] == {"tx_db": 0.0, "rx_db": 0.0, "lna_db": 0.0,
+                                **doc.get("gains", {})}
+        assert list(raw["gains"]) == ["tx_db", "rx_db", "lna_db"]
+        assert raw["options"] == {"direct_path": False, "plane_wave": False,
+                                  "element_factor_q": 0.0, **doc.get("options", {})}
+        assert list(raw["options"]) == ["direct_path", "plane_wave", "element_factor_q"]
 
     @pytest.mark.parametrize("scene", ["prototype", "small"])
     def test_simulate_report_scene_reparses_identically(self, tmp_path, capsys,

@@ -162,25 +162,24 @@ class TestConfiguration:
         with pytest.raises(ValidationError):
             config.group_states(self.layout)
 
-    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.data())
-    def test_group_states_match_a_per_group_loop(self, group_of, data):
-        """Group states, and for a bad layout or configuration the error of
-        the lowest group that is empty or whose members disagree, are those
-        of a loop over the groups."""
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_group_states_match_a_per_group_loop(self, groups, size, data):
+        """Group states of a shuffled layout of equal groups, and for a bad
+        configuration the error of the lowest group whose members disagree,
+        are those of a loop over the groups."""
+        group_of = data.draw(st.permutations([g for g in range(groups)
+                                              for _ in range(size)]))
         layout = ElementLayout(positions=np.zeros((len(group_of), 3)),
                                group_of=np.array(group_of), u=np.array([1.0, 0, 0]),
                                v=np.array([0, 1.0, 0]))
         states = data.draw(st.lists(st.integers(0, 2), min_size=len(group_of),
                                     max_size=len(group_of)))
-        if data.draw(st.booleans()):  # members agree, unless a group is empty
-            group_state = data.draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+        if data.draw(st.booleans()):  # members agree
+            group_state = data.draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
             states = [group_state[g] for g in group_of]
         expected = []
-        for g in range(max(group_of) + 1):
+        for g in range(groups):
             members = [s for s, h in zip(states, group_of) if h == g]
-            if not members:
-                expected = f"group {g} has no elements"
-                break
             if len(set(members)) > 1:
                 expected = f"group {g} members disagree on state"
                 break
@@ -195,6 +194,25 @@ class TestConfiguration:
     def test_negative_group_index_rejected(self):
         with pytest.raises(ValidationError):
             ElementLayout(positions=np.zeros((2, 3)), group_of=np.array([0, -1]),
+                          u=np.array([1.0, 0, 0]), v=np.array([0, 1.0, 0]))
+
+    @pytest.mark.parametrize("group_of", [[0, 0, 1], [0, 2, 2, 0], [], [0.0, 1.0]])
+    def test_malformed_groups_rejected(self, group_of):
+        """Every search reshapes by groups of one size, so a layout with
+        unequal or empty groups, no elements or non-integer group indices is
+        refused up front."""
+        with pytest.raises(ValidationError):
+            ElementLayout(positions=np.zeros((len(group_of), 3)),
+                          group_of=np.array(group_of),
+                          u=np.array([1.0, 0, 0]), v=np.array([0, 1.0, 0]))
+
+    @pytest.mark.parametrize("positions, group_of", [
+        ((3, 3), [0, 1]), ((2, 2), [0, 1]), ((1, 3), [[0]])])
+    def test_positions_must_match_group_indices(self, positions, group_of):
+        """A group index per element, or searches would sum some elements
+        and skip the rest."""
+        with pytest.raises(ValidationError):
+            ElementLayout(positions=np.zeros(positions), group_of=np.array(group_of),
                           u=np.array([1.0, 0, 0]), v=np.array([0, 1.0, 0]))
 
     def test_validate_against_table(self, prototype):

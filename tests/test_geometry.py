@@ -64,6 +64,9 @@ class TestBuildLayout:
                                        [0, 0, 1, 1],
                                        [2, 2, 3, 3],
                                        [2, 2, 3, 3]])
+        assert layout.members.tolist() == [[0, 1, 4, 5], [2, 3, 6, 7],
+                                           [8, 9, 12, 13], [10, 11, 14, 15]]
+        assert not layout.members.flags.writeable
 
     def test_basis_fallback_when_normal_along_x(self):
         spec = PanelSpec(center=[0, 0, 0], normal=[1.0, 0.0, 0.0],
