@@ -3,7 +3,7 @@
 Pattern sweeps place a far-field probe on an angular cut through the panel
 centre; coverage maps drop a virtual single-antenna user in every grid cell
 of the plane spanned by the panel normal (local x) and the panel's in-plane
-u axis (local y).
+u axis (local y).  All three compute the field through one path, ``_field``.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelGeometry, Scene, _direct_gains, _hop_gains,
-                      channel_geometry, db_to_linear)
+from .channel import (Scene, _direct_gains, _hop_gains, channel_geometry,
+                      db_to_linear)
 from .elements import Configuration, StateTable
 from .errors import SideUndefinedError, ValidationError
-from .geometry import ElementLayout, Side
+from .geometry import ElementLayout, Side, as_vec3
 
 # Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
 # real, 320 kB complex at M = 640) stay in cache and the allocator reuses them.
@@ -93,24 +93,31 @@ def _pattern_angles(step_deg: float) -> np.ndarray:
     return np.arange(-kmax, kmax + 1) * step_deg
 
 
-def _scattered(scene: Scene, layout: ElementLayout, table: StateTable,
-               config: Configuration, geometry: ChannelGeometry,
-               points: np.ndarray, sides: np.ndarray,
-               workers: int = 1) -> np.ndarray:
-    """(P, Nt) channel from each BS antenna through the panel to each point.
+def _field(scene: Scene, layout: ElementLayout, table: StateTable,
+           config: Configuration, points: np.ndarray, direct: bool = True,
+           workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's side and the channel from each BS antenna to it.
 
-    ``sides`` holds each point's side, +1 or -1 as from
-    :meth:`Scene.point_sides`.  Points go through in chunks of CHUNK_POINTS,
-    spread over ``workers`` threads; the result does not depend on either.
+    Returns (sides, h): ``sides`` as from :meth:`Scene.point_sides` for the
+    (..., 3) ``points``, and h the (L, Nt) channel to the L points off the
+    panel plane (``sides != 0``), in order.  h is the scattered channel, plus
+    the direct path when ``direct`` is set and the scene enables it.  Points
+    go through in chunks of CHUNK_POINTS, spread over ``workers`` threads;
+    the result does not depend on either.
     """
+    config.validate_against(table, layout)
+    bs_to_element = channel_geometry(scene, layout).bs_to_element
+    sides = scene.point_sides(points)
+    live = sides != 0
+    points, live_sides = points[live], sides[live]
     coefficients = table.coefficient_matrix[:, config.states]  # (2, M), one row per side
-    out = np.empty((len(points), geometry.num_antennas), dtype=complex)
+    out = np.empty((len(points), len(bs_to_element)), dtype=complex)
 
     def fill(start: int) -> None:
         chunk = slice(start, start + CHUNK_POINTS)
-        gamma = coefficients[(sides[chunk] < 0).astype(np.intp)]
+        gamma = coefficients[(live_sides[chunk] < 0).astype(np.intp)]
         gains = _hop_gains(points[chunk], layout, scene)
-        out[chunk] = np.multiply(gamma, gains, out=gains) @ geometry.bs_to_element.T
+        out[chunk] = np.multiply(gamma, gains, out=gains) @ bs_to_element.T
 
     starts = range(0, len(points), CHUNK_POINTS)
     if workers > 1:
@@ -119,7 +126,9 @@ def _scattered(scene: Scene, layout: ElementLayout, table: StateTable,
     else:
         for start in starts:
             fill(start)
-    return out
+    if direct and scene.direct_path:
+        out += _direct_gains(points, live_sides, scene)
+    return sides, out
 
 
 def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
@@ -136,19 +145,18 @@ def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
         raise ValidationError("eval_radius must be positive and finite")
     if cut not in ("azimuth", "elevation"):
         raise ValidationError(f"unknown cut {cut!r}; expected azimuth or elevation")
-    geometry = channel_geometry(scene, layout)
-    config.validate_against(table, layout)
+    theta = np.deg2rad(np.asarray(angles_deg, dtype=float))
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError("angles_deg must be finite")
     axis = layout.u if cut == "azimuth" else layout.v
     normal_out = scene.panel.normal * scene.bs_side_sign
     if side is Side.REFRACTION:
         normal_out = -normal_out
-    theta = np.deg2rad(np.asarray(angles_deg, dtype=float))
     probes = (scene.panel.center[None, :]
               + eval_radius * (np.sin(theta)[:, None] * axis[None, :]
                                + np.cos(theta)[:, None] * normal_out[None, :]))
-    sides = scene.point_sides(probes)
+    sides, h = _field(scene, layout, table, config, probes, direct=False)
     valid = sides != 0
-    h = _scattered(scene, layout, table, config, geometry, probes[valid], sides[valid])
     power = np.zeros(len(theta))
     power[valid] = np.abs(h.sum(axis=1)) ** 2
     return power, valid
@@ -181,35 +189,24 @@ def coverage_map(scene: Scene, layout: ElementLayout, table: StateTable,
     the panel plane are masked with NaN.  Link gains: see
     :mod:`omnisim.channel`.
     """
-    config.validate_against(table, layout)
-    geometry = channel_geometry(scene, layout)
     xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     points = (scene.panel.center
               + xs[..., None] * scene.panel.normal
               + ys[..., None] * layout.u)
-    side = scene.point_sides(points)
-    live = side != 0
-    h = _scattered(scene, layout, table, config, geometry, points[live], side[live], workers)
-    if scene.direct_path:
-        h += _direct_gains(points[live], side[live], scene)
+    side, h = _field(scene, layout, table, config, points, workers=workers)
     snr = scene.tx_power_w * np.sum(np.abs(h) ** 2, axis=1) / scene.noise_power_w
     values = np.full((grid.nx, grid.ny), np.nan)
-    values[live] = np.log2(1.0 + snr)
+    values[side != 0] = np.log2(1.0 + snr)
     return CoverageMap(grid=grid, values=values, side=side)
 
 
 def snr_at(scene: Scene, layout: ElementLayout, table: StateTable,
            config: Configuration, point) -> float:
     """Received SNR in dB at a point.  Link gains: see :mod:`omnisim.channel`."""
-    points = np.asarray(point, dtype=float)[None, :]
-    sides = scene.point_sides(points)
-    if sides[0] == 0:
+    points = as_vec3(point, "point")[None, :]
+    if scene.point_sides(points)[0] == 0:
         raise SideUndefinedError("SNR undefined for a point in the panel plane")
-    config.validate_against(table, layout)
-    geometry = channel_geometry(scene, layout)
-    h = _scattered(scene, layout, table, config, geometry, points, sides)
-    if scene.direct_path:
-        h += _direct_gains(points, sides, scene)
+    _, h = _field(scene, layout, table, config, points)
     chain_gain = db_to_linear(scene.tx_gain_db + scene.rx_gain_db
                               + scene.lna_gain_db)
     snr = (scene.tx_power_w * float(np.sum(np.abs(h) ** 2)) * chain_gain

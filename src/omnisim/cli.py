@@ -85,9 +85,7 @@ def thread_count() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValidationError(
-            f"OMNISIM_THREADS must be a positive integer, got {raw!r}"
-        ) from None
+        value = 0
     if value < 1:
         raise ValidationError(
             f"OMNISIM_THREADS must be a positive integer, got {raw!r}"

@@ -207,9 +207,8 @@ class Configuration:
         return len(self.states)
 
     @staticmethod
-    def uniform(num_elements: int, state: int = 0,
-                granularity: Granularity = Granularity.ELEMENT) -> "Configuration":
-        return Configuration(states=(state,) * num_elements, granularity=granularity)
+    def uniform(num_elements: int, state: int = 0) -> "Configuration":
+        return Configuration(states=(state,) * num_elements)
 
     @staticmethod
     def from_group_states(layout, group_states) -> "Configuration":

@@ -73,10 +73,12 @@ class PanelSpec:
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec3(self.center, "panel center"))
         normal = as_vec3(self.normal, "panel normal")
-        if abs(np.linalg.norm(normal) - 1.0) > UNIT_EPS:
+        with np.errstate(over="ignore"):  # a huge component reads |n| = inf
+            norm = np.linalg.norm(normal)
+        if abs(norm - 1.0) > UNIT_EPS:
             raise ValidationError(
                 f"panel normal must be unit length within {UNIT_EPS}, "
-                f"got |n| = {np.linalg.norm(normal)!r}"
+                f"got |n| = {norm!r}"
             )
         object.__setattr__(self, "normal", normal)
         for name in ("rows", "cols", "group_rows", "group_cols"):

@@ -173,6 +173,37 @@ class TestRadiationPattern:
                                 Side.REFRACTION, angles)
         assert np.allclose(refr / refl, (0.58 / 0.46) ** 2, rtol=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_angles(self, prototype, prototype_layout, bad):
+        with pytest.raises(ValidationError, match="angles_deg"):
+            pattern_power(prototype.scene, prototype_layout, prototype.table,
+                          Configuration.uniform(640, 0), Side.REFLECTION,
+                          np.array([0.0, bad]))
+
+    def test_pattern_excludes_direct_path(self, prototype, prototype_layout):
+        raw = copy.deepcopy(prototype.raw)
+        raw["options"]["direct_path"] = True
+        direct = parse_scene_dict(raw)
+        config = Configuration.uniform(640, 1)
+        angles = np.arange(-80.0, 81.0, 4.0)
+        for side in Side:
+            without, _ = pattern_power(prototype.scene, prototype_layout,
+                                       prototype.table, config, side, angles)
+            with_direct, _ = pattern_power(direct.scene, prototype_layout,
+                                           direct.table, config, side, angles)
+            assert without.tobytes() == with_direct.tobytes()
+        # The same two scenes differ on the BS side of a coverage map.
+        grid = TestCoverageMap.GRID
+        off = coverage_map(prototype.scene, prototype_layout, prototype.table,
+                           config, grid)
+        on = coverage_map(direct.scene, prototype_layout, direct.table,
+                          config, grid)
+        bs_side = off.side > 0
+        assert bs_side.any()
+        assert np.all(on.values[bs_side] != off.values[bs_side])
+        assert on.values[off.side < 0].tobytes() == \
+            off.values[off.side < 0].tobytes()
+
 
 class TestCoverageMap:
     GRID = CoverageGrid(x0=-1.5, x1=1.5, y0=-1.0, y1=1.0, nx=21, ny=15)
@@ -287,6 +318,19 @@ class TestSnrAt:
         with pytest.raises(SideUndefinedError):
             snr_at(prototype.scene, prototype_layout, prototype.table,
                    Configuration.uniform(640, 0), [0.0, 0.4, 0.1])
+
+    @pytest.mark.parametrize("point", [[math.inf, 0.0, 0.0], [1.0, math.inf, 0.0],
+                                       [math.nan, 0.0, 1.0], [1.0, 2.0]])
+    def test_rejects_malformed_point(self, prototype, prototype_layout, point):
+        with pytest.raises(ValidationError, match="^point must"):
+            snr_at(prototype.scene, prototype_layout, prototype.table,
+                   Configuration.uniform(640, 0), point)
+
+    def test_in_plane_point_rejected_before_configuration(self, prototype,
+                                                          prototype_layout):
+        with pytest.raises(SideUndefinedError):
+            snr_at(prototype.scene, prototype_layout, prototype.table,
+                   Configuration.uniform(3, 99), [0.0, 0.4, 0.1])
 
     def test_dark_panel_gives_minus_infinity(self):
         scene, layout = self.single_element_scene()

@@ -407,15 +407,17 @@ class TestCrossProcessDeterminism:
 
 
 class TestThreadsEnv:
+    @pytest.mark.parametrize("raw", ["zero", "0", "-1", "1.5"])
     def test_invalid_thread_count_rejected(self, capsys, tmp_path,
-                                           monkeypatch):
-        monkeypatch.setenv("OMNISIM_THREADS", "zero")
+                                           monkeypatch, raw):
+        monkeypatch.setenv("OMNISIM_THREADS", raw)
         code, _, err = run_cli(capsys, "coverage",
                                "--config", prototype_scene_path(),
                                "--grid=-1,1,-1,1,3,3",
                                "--out", str(tmp_path / "m.csv"))
         assert code == 2
-        assert "OMNISIM_THREADS" in json.loads(err)["error"]["message"]
+        message = json.loads(err)["error"]["message"]
+        assert message == f"OMNISIM_THREADS must be a positive integer, got {raw!r}"
 
     def test_thread_cap_preserves_artifact(self, capsys, tmp_path,
                                            monkeypatch):

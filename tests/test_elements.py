@@ -110,6 +110,13 @@ def test_dataclasses_reject_non_finite_pitch_and_phase(build, name, value):
         build(**{**args, name: value})
 
 
+@pytest.mark.parametrize("normal", [[1e308, 0, 0], [0, -1e200, 1e200]])
+def test_panel_rejects_overflowing_normal(normal):
+    # |n|^2 overflows to inf: the unit-length check rejects it, no warning.
+    with pytest.raises(ValidationError, match="unit length"):
+        PanelSpec(**{**PANEL_ARGS, "normal": normal})
+
+
 class TestQuantizePhase:
     def test_reflection_target_30_degrees(self, prototype):
         idx = quantize_phase(prototype.table, Side.REFLECTION,
