@@ -55,8 +55,8 @@ class CoverageGrid:
     ny: int
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValidationError("grid must have at least one cell per axis")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.nx, self.ny)):
+            raise ValidationError("grid cell counts must be integers >= 1")
         if not all(math.isfinite(v) for v in (self.x0, self.x1, self.y0, self.y1)):
             raise ValidationError("grid extents must be finite")
         if self.x1 < self.x0 or self.y1 < self.y0:

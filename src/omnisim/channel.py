@@ -134,11 +134,11 @@ class Scene:
 def friis_gain(distance, wavelength: float):
     """Free-space complex amplitude gain: lambda/(4 pi d) at phase -2 pi d/lambda.
 
-    Accepts scalar or array distances; raises on non-positive distance.
+    Accepts scalar or array distances; raises on a non-positive or non-finite input.
     """
     d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
-        raise ValidationError("friis_gain requires positive distance")
+    if not (np.all((d > 0) & (d < math.inf)) and 0 < wavelength < math.inf):
+        raise ValidationError("friis_gain requires positive distance and wavelength, finite")
     out = _friis(d, wavelength)
     return complex(out) if np.isscalar(distance) else out
 
@@ -158,8 +158,8 @@ def _friis(d: np.ndarray, wavelength: float) -> np.ndarray:
 
 def noise_power(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
     """Thermal noise power in dBm: -174 + 10 log10(B) + NF."""
-    if not bandwidth_hz > 0:
-        raise ValidationError("bandwidth must be positive")
+    if not (0 < bandwidth_hz < math.inf and math.isfinite(noise_figure_db)):
+        raise ValidationError("bandwidth must be positive and finite, noise figure finite")
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 

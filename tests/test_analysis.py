@@ -205,6 +205,17 @@ class TestRadiationPattern:
             off.values[off.side < 0].tobytes()
 
 
+class TestCoverageGrid:
+    @pytest.mark.parametrize("nx, ny", [(1.5, 3), (3, 2.0), (math.nan, 3), (3, math.inf),
+                                        (0, 3), (3, -1), ("3", 3)])
+    def test_rejects_a_cell_count_that_is_not_a_positive_integer(self, nx, ny):
+        with pytest.raises(ValidationError):
+            CoverageGrid(-1.0, 1.0, -1.0, 1.0, nx, ny)
+
+    def test_accepts_numpy_integers(self):
+        assert CoverageGrid(-1.0, 1.0, -1.0, 1.0, np.int64(3), 2).xs.tolist() == [-1.0, 0.0, 1.0]
+
+
 class TestCoverageMap:
     GRID = CoverageGrid(x0=-1.5, x1=1.5, y0=-1.0, y1=1.0, nx=21, ny=15)
 

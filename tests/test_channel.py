@@ -55,6 +55,14 @@ class TestFriisGain:
         with pytest.raises(ValidationError):
             friis_gain(0.0, WAVELENGTH_3G6)
 
+    @pytest.mark.parametrize("distance, wavelength", [
+        (math.nan, WAVELENGTH_3G6), (math.inf, WAVELENGTH_3G6),
+        (np.array([1.0, math.nan]), WAVELENGTH_3G6), (1.0, math.nan), (1.0, math.inf),
+        (1.0, 0.0), (1.0, -WAVELENGTH_3G6)])
+    def test_rejects_non_finite_input_and_non_positive_wavelength(self, distance, wavelength):
+        with pytest.raises(ValidationError):
+            friis_gain(distance, wavelength)
+
     @given(st.floats(min_value=0.01, max_value=50.0),
            st.integers(min_value=1, max_value=40))
     def test_phase_periodic_in_wavelength(self, distance, cycles):
@@ -74,6 +82,13 @@ class TestNoisePower:
 
     def test_noise_figure_adds(self):
         assert noise_power(24e6, 6.0) == pytest.approx(noise_power(24e6) + 6.0)
+
+    @pytest.mark.parametrize("bandwidth_hz, noise_figure_db", [
+        (0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+        (1e6, math.nan), (1e6, math.inf), (1e6, -math.inf)])
+    def test_rejects_non_positive_or_non_finite_input(self, bandwidth_hz, noise_figure_db):
+        with pytest.raises(ValidationError):
+            noise_power(bandwidth_hz, noise_figure_db)
 
 
 class TestLinkBudget:

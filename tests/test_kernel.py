@@ -408,3 +408,30 @@ class TestSpeculativeGreedy:
         assert out.config == unit_config(layout, granularity, states)
         assert out.trace == tuple(trace)
         assert 1 in states and 2 not in states
+
+    # 6 groups fit one window; 160 elements of 8-element groups need two.
+    @pytest.mark.parametrize("granularity, groups, group_cols",
+                             [(Granularity.GROUP, 6, 2), (Granularity.ELEMENT, 20, 8)])
+    def test_every_window_holds_the_cap(self, monkeypatch, granularity, groups, group_cols):
+        """With every state identical no move is strictly better, so the one
+        sweep scores the units in windows of ``limit`` units from the first:
+        one ZF call for the start, then one per window."""
+        scene, layout, table = make_scene(seed=2, nt=2, k_users=2, groups=groups,
+                                          group_cols=group_cols, num_states=3,
+                                          direct_path=False)
+        table = StateTable(states=(table.states[0],) * 3)
+        rows = []
+        zero_forcing = beamforming._zero_forcing
+
+        def counted(H, *powers):
+            rows.append(len(H))
+            return zero_forcing(H, *powers)
+
+        monkeypatch.setattr(beamforming, "_zero_forcing", counted)
+        out = greedy_optimize(scene, layout, table, granularity)
+        units = groups if granularity is Granularity.GROUP else groups * group_cols
+        width = table.num_states - 1
+        limit = beamforming.PASS_ENTRIES // (width * group_cols * 2 * 2)  # m * K * Nt
+        assert len(out.trace) == 2
+        assert len(rows) == 1 + math.ceil(units / limit)
+        assert rows == [1] + [width * min(limit, units - s) for s in range(0, units, limit)]
