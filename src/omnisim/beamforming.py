@@ -18,7 +18,7 @@ import numpy as np
 from .channel import (PASS_ENTRIES, ChannelGeometry, ChannelKernel, FadingModel,
                       FadingRealization, Scene, channel_geometry,
                       draw_realizations, ordered_sum)
-from .elements import Configuration, Granularity, StateTable
+from .elements import Configuration, Granularity, StateTable, require_int
 from .errors import (RankDeficientChannelError, SearchSpaceError,
                      TooManyUsersError, ValidationError)
 from .geometry import ElementLayout, Side
@@ -106,6 +106,8 @@ def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> Beamform
     H = np.atleast_2d(np.asarray(channel, dtype=complex))
     if not (0 < total_power_w < math.inf and 0 < noise_power_w < math.inf):
         raise ValidationError("total power and noise power must be positive and finite")
+    if not np.all(np.isfinite(H)):
+        raise ValidationError("channel entries must be finite")
     rates, total, cond, degenerate = _zero_forcing(H[None], total_power_w,
                                                    noise_power_w)
     if degenerate[0]:
@@ -245,8 +247,7 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
     gather's m·K·Nt·R products at both granularities: under fading each row
     costs R ZF solves, so wider windows of group rows measured no faster.
     """
-    if max_sweeps < 1:
-        raise ValidationError("max_sweeps must be at least 1")
+    require_int("max_sweeps", max_sweeps, 1)
     states = np.zeros(problem.num_units, dtype=np.int64)
     partials = problem.partials(states[None])  # (G, 1, R, K, Nt)
     values, degenerate = problem.score(partials)
@@ -343,8 +344,8 @@ def random_baseline(scene: Scene, layout: ElementLayout, table: StateTable,
                     trials: int = 100, seed: int = 0) -> OptimizationOutcome:
     """Best of ``trials`` uniform configurations from a seeded generator; numpy
     draws a batch one value at a time, so the draws do not depend on BATCH."""
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    require_int("trials", trials, 1)
+    require_int("seed", seed, 0)
     problem = _UnitProblem(scene, layout, table, granularity)
     rng = np.random.default_rng(seed)
     best_states, best_value, trace = None, -math.inf, []
@@ -396,10 +397,11 @@ def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     reduces exactly to :func:`greedy_optimize`.
     """
     realizations = ()
-    if not fading_model.is_degenerate:
+    if not fading_model.is_degenerate:  # draw_realizations checks both
         realizations = draw_realizations(fading_model, channel_geometry(scene, layout),
                                          seed, num_samples)
-    elif num_samples < 1:
-        raise ValidationError("num_samples must be at least 1")
+    else:
+        require_int("num_samples", num_samples, 1)
+        require_int("seed", seed, 0)
     problem = _UnitProblem(scene, layout, table, granularity, realizations)
     return _greedy_sweeps(problem, max_sweeps)

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elements import Configuration, StateTable
+from .elements import Configuration, StateTable, require_int
 from .errors import InvalidSceneError, ValidationError
 from .geometry import ElementLayout, PanelSpec
 
@@ -353,8 +353,8 @@ class FadingRealization:
 def draw_realizations(model: FadingModel, geometry: ChannelGeometry,
                       seed: int, num_samples: int) -> list[FadingRealization]:
     """Draw ``num_samples`` frozen fading realizations from one seeded stream."""
-    if num_samples < 1:
-        raise ValidationError("num_samples must be at least 1")
+    require_int("num_samples", num_samples, 1)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(num_samples):
@@ -367,24 +367,22 @@ def draw_realizations(model: FadingModel, geometry: ChannelGeometry,
     return out
 
 
-ACCUMULATE_MAX_SIZE = 64  # largest term ordered_sum accumulates in one call
 PASS_ENTRIES = 2 ** 13    # products per pass of ChannelKernel._group_passes
 TABLE_REALIZATIONS = 4    # realizations per pass in ChannelKernel.state_tables
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis strictly in index order, ((t0 + t1) + t2) ...
+    """Sum over the first axis strictly in index order, ((t0 + t1) + t2) ...,
+    so each entry has the same sum in any batch; ``np.sum`` may not.
 
-    ``np.sum`` may add pairwise in a shape-dependent order; elementwise adds
-    give each entry the same sum in any batch.  ``np.add.accumulate`` makes
-    the same adds in one call but is slow for large terms.
+    numpy reduces the first axis of C-ordered terms of 2 or more entries one
+    whole term at a time, so other layouts are copied to C order; it would
+    sum one-entry terms pairwise, so those are accumulated.  A property test
+    pins this undocumented order.
     """
-    if terms[0].size <= ACCUMULATE_MAX_SIZE:
+    if terms[0].size < 2:
         return np.add.accumulate(terms, axis=0)[-1]
-    total = terms[0] + terms[1] if len(terms) > 1 else terms[0].copy()
-    for term in terms[2:]:
-        total += term
-    return total
+    return np.add.reduce(np.ascontiguousarray(terms), axis=0)
 
 
 class ChannelKernel:
@@ -420,7 +418,7 @@ class ChannelKernel:
             g1 = g1 * np.stack([r.bs_to_element for r in self.fading], axis=1).T[idx]
             g2 = g2 * np.stack([r.element_to_user for r in self.fading], axis=1).T[idx]
         gamma = self.coefficients[self.geometry.user_side_index].T[:, None]  # (P, 1, K)
-        # In C order each member's terms are contiguous, which ordered_sum adds faster.
+        # In C order, so ordered_sum need not copy the products or the table.
         to_user = np.multiply(gamma, g2[:, :, None], order="C")
         return to_user[..., None] * g1[:, :, None, :, None, :]
 

@@ -23,6 +23,14 @@ TWO_PI = 2.0 * math.pi
 POWER_TOLERANCE = 0.005
 
 
+def require_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int; ValidationError unless it is an integer (Python
+    or numpy, not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def _wrap_phase(phase: float) -> tuple[float, bool]:
     wrapped = phase % TWO_PI
     return wrapped, wrapped != phase
@@ -197,11 +205,10 @@ class Configuration:
     granularity: Granularity = Granularity.ELEMENT
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(int(s) for s in self.states))
+        object.__setattr__(self, "states", tuple(require_int("state index", s, 0)
+                                                 for s in self.states))
         if len(self.states) == 0:
             raise ValidationError("configuration must cover at least one element")
-        if any(s < 0 for s in self.states):
-            raise ValidationError("state indices must be non-negative")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -213,7 +220,7 @@ class Configuration:
     @staticmethod
     def from_group_states(layout, group_states) -> "Configuration":
         """Expand per-group states to the per-element canonical form."""
-        group_states = tuple(int(s) for s in group_states)
+        group_states = tuple(group_states)
         if len(group_states) != layout.num_groups:
             raise ValidationError(
                 f"expected {layout.num_groups} group states, got {len(group_states)}"

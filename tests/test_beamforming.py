@@ -78,6 +78,16 @@ class TestZfPrecoder:
         with pytest.raises(ValidationError, match="positive and finite"):
             zf_precoder(H, powers["total"], powers["noise"])
 
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan,
+                                       complex(0, math.inf), complex(math.nan, 0)])
+    def test_non_finite_channel_rejected(self, rng, entry):
+        """Refused before zero-forcing, as assemble_channel refuses it: an
+        inf is no rank-deficient channel, and a NaN warns in the Gram."""
+        H = random_channel(rng, 2, 3)
+        H[1, 2] = entry
+        with pytest.raises(ValidationError, match="finite"):
+            zf_precoder(H, 2.0, 0.5)
+
     def test_orthogonality_and_power_over_random_draws(self, rng):
         for _ in range(50):
             nt = int(rng.integers(1, 9))
@@ -158,6 +168,39 @@ class TestGreedy:
         table = prototype.table
         out = greedy_optimize(scene, layout, table, Granularity.GROUP)
         assert out.objective == sum_rate(scene, layout, table, out.config)
+
+
+class TestCountAndSeedArguments:
+    SEARCHES = {
+        "greedy": lambda s, l, t, value: greedy_optimize(
+            s, l, t, Granularity.GROUP, max_sweeps=value),
+        "random trials": lambda s, l, t, value: random_baseline(s, l, t, trials=value),
+        "random seed": lambda s, l, t, value: random_baseline(s, l, t, trials=2, seed=value),
+        "statistical samples": lambda s, l, t, value: statistical_optimize(
+            s, l, t, FadingModel(10.0), num_samples=value, seed=0),
+        "statistical seed": lambda s, l, t, value: statistical_optimize(
+            s, l, t, FadingModel(10.0), num_samples=2, seed=value),
+        "unfaded samples": lambda s, l, t, value: statistical_optimize(
+            s, l, t, FadingModel(), num_samples=value, seed=0),
+        "unfaded seed": lambda s, l, t, value: statistical_optimize(
+            s, l, t, FadingModel(), num_samples=2, seed=value),
+    }
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3", True, None, math.nan, -1])
+    def test_non_integer_or_below_the_cli_limit_rejected(self, prototype, search, value):
+        """Counts and seeds take the CLI's limits: integers, at least 1 for
+        counts and 0 for seeds, with or without fading to draw."""
+        scene, layout = small_scene(units=2, seed=3)
+        with pytest.raises(ValidationError, match="must be an integer of at least"):
+            self.SEARCHES[search](scene, layout, prototype.table, value)
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_numpy_integers_accepted(self, prototype, search):
+        scene, layout = small_scene(units=2, seed=3)
+        expected = self.SEARCHES[search](scene, layout, prototype.table, 3)
+        out = self.SEARCHES[search](scene, layout, prototype.table, np.int64(3))
+        assert (out.config, out.objective) == (expected.config, expected.objective)
 
 
 class TestExhaustive:

@@ -222,6 +222,23 @@ class TestConfiguration:
             ElementLayout(positions=np.zeros(positions), group_of=np.array(group_of),
                           u=np.array([1.0, 0, 0]), v=np.array([0, 1.0, 0]))
 
+    @pytest.mark.parametrize("state", [1.5, 1.0, np.float64(1.0), "1", math.nan, math.inf,
+                                       True, np.bool_(True), None, -1, np.int64(-1)])
+    def test_non_integer_or_negative_state_rejected(self, state):
+        """Only Python and numpy integers of at least 0 are state indices:
+        no float is truncated, no string parsed, no bool taken for 0 or 1."""
+        with pytest.raises(ValidationError, match="state index"):
+            Configuration(states=(0, state))
+        with pytest.raises(ValidationError, match="state index"):
+            Configuration.from_group_states(self.layout, [state] * 4)
+
+    def test_numpy_integer_states_become_ints(self):
+        config = Configuration(states=tuple(np.arange(3, dtype=np.int64)))
+        assert config.states == (0, 1, 2)
+        assert all(type(s) is int for s in config.states)
+        grouped = Configuration.from_group_states(self.layout, np.array([1, 0, 1, 0]))
+        assert grouped == Configuration.from_group_states(self.layout, [1, 0, 1, 0])
+
     def test_validate_against_table(self, prototype):
         table = prototype.table
         config = Configuration.uniform(16, 5)

@@ -112,7 +112,15 @@ def reference_partials(kernel, member_states, groups):
     from_bs = np.moveaxis(g1, (-2, -1), (0, 1))[:, groups, None, :, None, :]
     gamma = kernel.coefficients[kernel.geometry.user_side_index,
                                 member_states.T[..., None, None]]  # (m, g, B, 1, K)
-    return ordered_sum((gamma * to_user)[..., None] * from_bs)
+    return strict_fold((gamma * to_user)[..., None] * from_bs)
+
+
+def strict_fold(terms):
+    """((t0 + t1) + t2) ...: one elementwise add per term, in index order."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def same_bits(a, b):
@@ -259,6 +267,36 @@ class TestProductTable:
                                       (table.num_states, *members.shape))
         assert same_bits(kernel.state_tables,
                          reference_partials(kernel, every_state, slice(None)))
+
+
+term_shapes = st.integers(1, 300).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.integers(1, 300 // rows)))
+
+
+class TestOrderedSum:
+    @given(st.integers(1, 130), term_shapes, st.sampled_from([np.float64, np.complex128]),
+           st.sampled_from(["C", "F", "strided"]), st.integers(0, 2 ** 32 - 1))
+    @example(130, (1, 1), np.float64, "C", 0)
+    @example(5, (1, 1), np.complex128, "C", 0)
+    @example(130, (4, 8), np.float64, "F", 0)
+    @example(130, (4, 8), np.complex128, "strided", 0)
+    @settings(max_examples=200)
+    def test_equals_a_strict_left_fold(self, count, shape, dtype, layout, seed):
+        """Every layout the kernel and zero-forcing pass, in both dtypes, has
+        the bits of the strict left fold: this pins the order in which numpy
+        reduces, which it does not document.  The examples are one-entry
+        terms, which numpy sums pairwise, and terms whose first axis is not
+        the outermost in memory (F order, every other entry)."""
+        gen = np.random.default_rng(seed)
+
+        def values(*dims):  # mixed magnitudes, so the order of the adds shows
+            return gen.standard_normal(dims) * 10.0 ** gen.integers(-8, 9, dims)
+
+        terms = values(count, *shape, 2)
+        if dtype is np.complex128:
+            terms = terms + 1j * values(count, *shape, 2)
+        terms = terms[..., 1] if layout == "strided" else terms[..., 1].copy(order=layout)
+        assert same_bits(ordered_sum(terms), strict_fold(terms))
 
 
 class TestRandomBaseline:
