@@ -17,7 +17,7 @@ import numpy as np
 from .channel import (Scene, _direct_gains, _hop_gains, channel_geometry,
                       db_to_linear)
 from .elements import Configuration, StateTable
-from .errors import SideUndefinedError, ValidationError
+from .errors import SideUndefinedError, ValidationError, require_int
 from .geometry import ElementLayout, Side, as_vec3
 
 # Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
@@ -55,8 +55,8 @@ class CoverageGrid:
     ny: int
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.nx, self.ny)):
-            raise ValidationError("grid cell counts must be integers >= 1")
+        for name in ("nx", "ny"):
+            object.__setattr__(self, name, require_int(f"grid {name}", getattr(self, name), 1))
         if not all(math.isfinite(v) for v in (self.x0, self.x1, self.y0, self.y1)):
             raise ValidationError("grid extents must be finite")
         if self.x1 < self.x0 or self.y1 < self.y0:

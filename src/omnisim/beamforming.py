@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (PASS_ENTRIES, ChannelGeometry, ChannelKernel, FadingModel,
-                      FadingRealization, Scene, channel_geometry,
-                      draw_realizations, ordered_sum)
-from .elements import Configuration, Granularity, StateTable, require_int
+                      FadingRealization, Scene, _configuration_channels,
+                      channel_geometry, draw_realizations, ordered_sum)
+from .elements import Configuration, Granularity, StateTable
 from .errors import (RankDeficientChannelError, SearchSpaceError,
-                     TooManyUsersError, ValidationError)
+                     TooManyUsersError, ValidationError, require_int)
 from .geometry import ElementLayout, Side
 
 CONDITION_LIMIT = 1e12
@@ -139,12 +139,8 @@ def evaluate_rates(scene: Scene, layout: ElementLayout, table: StateTable,
     """ZF sum rate for one configuration; rank failures map to rate 0."""
     if geometry is None:
         geometry = channel_geometry(scene, layout)
-    config.validate_against(table, layout)
-    kernel = ChannelKernel(geometry, table.coefficient_matrix,
-                           () if fading is None else (fading,))
-    H = kernel.channels(kernel.element_partials(np.asarray(config.states)[None]))
-    rates, total, _, degenerate = _zero_forcing(H[:, 0], scene.tx_power_w,
-                                                scene.noise_power_w)
+    H = _configuration_channels(geometry, table, config, () if fading is None else (fading,))
+    rates, total, _, degenerate = _zero_forcing(H, scene.tx_power_w, scene.noise_power_w)
     return RateResult(sum_rate=float(total[0]), per_user_rate=rates[0],
                       degenerate=bool(degenerate[0]))
 
@@ -396,12 +392,11 @@ def statistical_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     recomputed per realization.  A degenerate (infinite-K) fading model
     reduces exactly to :func:`greedy_optimize`.
     """
+    require_int("num_samples", num_samples, 1)
+    require_int("seed", seed, 0)
     realizations = ()
-    if not fading_model.is_degenerate:  # draw_realizations checks both
+    if not fading_model.is_degenerate:
         realizations = draw_realizations(fading_model, channel_geometry(scene, layout),
                                          seed, num_samples)
-    else:
-        require_int("num_samples", num_samples, 1)
-        require_int("seed", seed, 0)
     problem = _UnitProblem(scene, layout, table, granularity, realizations)
     return _greedy_sweeps(problem, max_sweeps)

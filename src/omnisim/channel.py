@@ -27,9 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .elements import Configuration, StateTable, require_int
-from .errors import InvalidSceneError, ValidationError
-from .geometry import ElementLayout, PanelSpec
+from .elements import Configuration, StateTable
+from .errors import InvalidSceneError, ValidationError, require_int
+from .geometry import ElementLayout, PanelSpec, as_points
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -77,13 +77,8 @@ class Scene:
             raise ValidationError("element_factor_q must be non-negative and finite")
         # Frozen copies, so the caller's arrays stay writable and a write to
         # them cannot reach a cached channel geometry.
-        bs = np.atleast_2d(np.array(self.bs_antennas, dtype=float))
-        users = np.atleast_2d(np.array(self.users, dtype=float))
-        for name, arr in (("bs antennas", bs), ("users", users)):
-            if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
-                raise ValidationError(f"{name} must be a non-empty list of [x, y, z]")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} must have finite coordinates")
+        bs = as_points(self.bs_antennas, "bs antennas")
+        users = as_points(self.users, "users")
         sides = self.panel.plane_side(np.concatenate([bs, users]))
         bs_sides, user_sides = sides[:len(bs)], sides[len(bs):]
         if not bs_sides.all():
@@ -95,8 +90,6 @@ class Scene:
         if not user_sides.all():
             raise InvalidSceneError(
                 f"user {users[user_sides == 0][0].tolist()} lies in the panel plane")
-        bs.setflags(write=False)
-        users.setflags(write=False)
         object.__setattr__(self, "bs_antennas", bs)
         object.__setattr__(self, "users", users)
 
@@ -170,12 +163,15 @@ class LinkBudgetChain:
     tx_power_dbm: float
     items: tuple[tuple[str, float], ...]
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.tx_power_dbm, *(v for _, v in self.items))):
+            raise ValidationError("link budget power and items must be finite")
+
 
 def link_budget(chain: LinkBudgetChain) -> float:
-    """Received power in dBm: the chain summed exactly; sorted exact
-    summation makes the total independent of item order."""
-    values = sorted(v for _, v in chain.items)
-    return math.fsum([chain.tx_power_dbm, *values])
+    """Received power in dBm: the chain summed exactly.  ``math.fsum`` is
+    correctly rounded, so the total does not depend on item order."""
+    return math.fsum([chain.tx_power_dbm, *(v for _, v in chain.items)])
 
 
 def prototype_chain(scene: Scene, ios_gain_db: float,
@@ -482,23 +478,20 @@ class ChannelKernel:
         return H if self.direct is None else H + self.direct
 
 
+def _configuration_channels(geometry: ChannelGeometry, table: StateTable,
+                            config: Configuration, fading=()) -> np.ndarray:
+    """(R, K, Nt) channels of ``config``, one per fading realization (R = 1
+    without fading): the one checked path from a configuration to its channel."""
+    config.validate_against(table, geometry)
+    kernel = ChannelKernel(geometry, table.coefficient_matrix, fading)
+    return kernel.channels(kernel.element_partials(np.asarray(config.states)[None]))[0]
+
+
 def assemble_channel(geometry: ChannelGeometry, table: StateTable,
                      config: Configuration) -> np.ndarray:
     """Read-only (K, Nt) cascaded channel: the geometry factors combined with
-    the per-element coefficients of ``config``."""
-    if len(config) != geometry.num_elements:
-        raise ValidationError(
-            f"configuration covers {len(config)} elements, geometry has "
-            f"{geometry.num_elements}"
-        )
-    states = np.asarray(config.states)
-    if states.max() >= table.num_states:
-        raise ValidationError(
-            f"state index {states.max()} out of range for a "
-            f"{table.num_states}-state table"
-        )
-    kernel = ChannelKernel(geometry, table.coefficient_matrix)
-    H = kernel.channels(kernel.element_partials(states[None]))[0, 0]
+    the per-element coefficients of ``config``, checked as ``sum_rate`` checks it."""
+    H = _configuration_channels(geometry, table, config)[0]
     if not np.all(np.isfinite(H)):
         raise ValidationError("channel entries must be finite")
     H.setflags(write=False)

@@ -79,18 +79,12 @@ def _fmt(value) -> str:
 
 
 def thread_count() -> int:
-    raw = os.environ.get("OMNISIM_THREADS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("OMNISIM_THREADS", "1")
     try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
+        return _int_at_least(1)(raw)
+    except argparse.ArgumentTypeError:
         raise ValidationError(
-            f"OMNISIM_THREADS must be a positive integer, got {raw!r}"
-        )
-    return value
+            f"OMNISIM_THREADS must be a positive integer, got {raw!r}") from None
 
 
 def _config_payload(config, layout) -> dict:

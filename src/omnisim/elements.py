@@ -14,21 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .geometry import Side
 
 TWO_PI = 2.0 * math.pi
 
 # |amp^2 - declared power| beyond this is treated as a transcription error.
 POWER_TOLERANCE = 0.005
-
-
-def require_int(name: str, value, minimum: int) -> int:
-    """``value`` as an int; ValidationError unless it is an integer (Python
-    or numpy, not a bool) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")
-    return int(value)
 
 
 def _wrap_phase(phase: float) -> tuple[float, bool]:
@@ -209,6 +201,8 @@ class Configuration:
                                                  for s in self.states))
         if len(self.states) == 0:
             raise ValidationError("configuration must cover at least one element")
+        if not isinstance(self.granularity, Granularity):
+            raise ValidationError(f"granularity must be a Granularity, got {self.granularity!r}")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -239,10 +233,13 @@ class Configuration:
         return tuple(states[:, 0].tolist())
 
     def validate_against(self, table: StateTable, layout) -> None:
+        """The one configuration check: a state per element of ``layout`` (an
+        ElementLayout or ChannelGeometry), each in ``table``, and group
+        members that agree under GROUP granularity."""
         if len(self.states) != layout.num_elements:
             raise ValidationError(
                 f"configuration covers {len(self.states)} elements, "
-                f"layout has {layout.num_elements}"
+                f"the panel has {layout.num_elements}"
             )
         if max(self.states) >= table.num_states:
             raise ValidationError(

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation failures exit 2,
 numerical failures exit 3, guard refusals exit 4.
 """
 
+import numpy as np
+
 
 class OmnisimError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +37,11 @@ class RankDeficientChannelError(NumericalError):
 
 class SearchSpaceError(OmnisimError):
     """Refused: the exhaustive search space exceeds the hard guard."""
+
+
+def require_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int; ValidationError unless it is an integer (Python
+    or numpy, not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)

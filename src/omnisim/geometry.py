@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSceneError, SideUndefinedError, ValidationError
+from .errors import InvalidSceneError, SideUndefinedError, ValidationError, require_int
 
 Vec3 = np.ndarray  # shape (3,), float64
 
@@ -36,6 +36,18 @@ def as_vec3(value, name: str = "vector") -> Vec3:
         raise ValidationError(f"{name} must be finite, got {v.tolist()}")
     v.setflags(write=False)
     return v
+
+
+def as_points(value, name: str) -> np.ndarray:
+    """Coerce to a read-only finite (N, 3) float array with N >= 1; one
+    [x, y, z] is one point."""
+    points = np.atleast_2d(np.array(value, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
+        raise ValidationError(f"{name} must be a non-empty list of [x, y, z]")
+    if not np.all(np.isfinite(points)):
+        raise ValidationError(f"{name} must have finite coordinates")
+    points.setflags(write=False)
+    return points
 
 
 def unit(v) -> Vec3:
@@ -82,10 +94,7 @@ class PanelSpec:
             )
         object.__setattr__(self, "normal", normal)
         for name in ("rows", "cols", "group_rows", "group_cols"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value <= 0:
-                raise ValidationError(f"panel {name} must be a positive integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, require_int(f"panel {name}", getattr(self, name), 1))
         if self.rows % self.group_rows != 0:
             raise ValidationError(
                 f"rows ({self.rows}) not divisible by group_rows ({self.group_rows})"
@@ -141,18 +150,15 @@ class ElementLayout:
     def __post_init__(self):
         # Frozen copies, so the caller's arrays stay writable and a write to
         # them cannot reach a cached channel geometry.
-        positions = np.array(self.positions, dtype=float)
+        positions = as_points(self.positions, "layout positions")
         group_of = np.array(self.group_of)
-        if group_of.ndim != 1 or positions.shape != (len(group_of), 3):
-            raise ValidationError("a layout needs (M, 3) positions and M group indices")
-        if group_of.size == 0:
-            raise ValidationError("a layout needs at least one element")
+        if group_of.shape != positions.shape[:1]:
+            raise ValidationError("a layout needs one group index per position")
         if not np.issubdtype(group_of.dtype, np.integer) or (group_of < 0).any():
             raise ValidationError("group indices must be non-negative integers")
         counts = np.bincount(group_of)
         if (counts != counts[0]).any():
             raise ValidationError("groups must have equal numbers of elements")
-        positions.setflags(write=False)
         group_of.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "group_of", group_of)

@@ -207,7 +207,8 @@ class TestRadiationPattern:
 
 class TestCoverageGrid:
     @pytest.mark.parametrize("nx, ny", [(1.5, 3), (3, 2.0), (math.nan, 3), (3, math.inf),
-                                        (0, 3), (3, -1), ("3", 3)])
+                                        (0, 3), (3, -1), ("3", 3), (True, True),
+                                        (3, np.bool_(True))])
     def test_rejects_a_cell_count_that_is_not_a_positive_integer(self, nx, ny):
         with pytest.raises(ValidationError):
             CoverageGrid(-1.0, 1.0, -1.0, 1.0, nx, ny)

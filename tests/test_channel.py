@@ -107,6 +107,13 @@ class TestLinkBudget:
         chain = LinkBudgetChain(0.0, (("loss", -3.0),))
         assert link_budget(chain) == -3.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_or_item_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            LinkBudgetChain(value, (("a", 1.0),))
+        with pytest.raises(ValidationError, match="finite"):
+            LinkBudgetChain(1.0, (("a", 1.0), ("b", value)))
+
     @given(st.lists(st.floats(min_value=-80, max_value=40), min_size=1,
                     max_size=8),
            st.integers(min_value=0, max_value=100))
@@ -146,6 +153,24 @@ class TestCascadedChannel:
         expected = (WAVELENGTH_3G6 / (4 * math.pi * d1)) * 0.81 * \
                    (WAVELENGTH_3G6 / (4 * math.pi * d2))
         assert abs(H[0, 0]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("states, granularity, message", [
+        ((0, 1), Granularity.GROUP, "group 0 members disagree on state"),
+        ((0, 0, 0), Granularity.ELEMENT, "configuration covers 3 elements"),
+        ((0, 2), Granularity.ELEMENT, "state index 2 out of range"),
+    ])
+    def test_refuses_what_sum_rate_refuses(self, prototype, states, granularity, message):
+        """assemble_channel and sum_rate share one configuration check."""
+        panel = PanelSpec(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1, cols=2,
+                          dx=0.04, dy=0.04, group_rows=1, group_cols=2)
+        layout = build_layout(panel)
+        scene = make_scene(panel, [0, 0, 1.0], [0.3, 0, -0.8])
+        table = StateTable(states=prototype.table.states[:2])
+        config = Configuration(states=states, granularity=granularity)
+        with pytest.raises(ValidationError, match=message):
+            cascaded(scene, layout, table, config)
+        with pytest.raises(ValidationError, match=message):
+            sum_rate(scene, layout, table, config)
 
     def test_zero_coefficients_give_zero_matrix(self):
         panel = tiny_panel(rows=2, cols=3)

@@ -110,6 +110,14 @@ def test_dataclasses_reject_non_finite_pitch_and_phase(build, name, value):
         build(**{**args, name: value})
 
 
+@pytest.mark.parametrize("name", ["rows", "cols", "group_rows", "group_cols"])
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, 0, -2])
+def test_panel_counts_are_integers_of_at_least_one(name, value):
+    """The counts go through the one integer check: a bool is not a count."""
+    with pytest.raises(ValidationError, match=f"panel {name} must be an integer"):
+        PanelSpec(**{**PANEL_ARGS, name: value})
+
+
 @pytest.mark.parametrize("normal", [[1e308, 0, 0], [0, -1e200, 1e200]])
 def test_panel_rejects_overflowing_normal(normal):
     # |n|^2 overflows to inf: the unit-length check rejects it, no warning.
@@ -221,6 +229,21 @@ class TestConfiguration:
         with pytest.raises(ValidationError):
             ElementLayout(positions=np.zeros(positions), group_of=np.array(group_of),
                           u=np.array([1.0, 0, 0]), v=np.array([0, 1.0, 0]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected(self, value):
+        """A NaN position would reach every channel as a degenerate rate of 0."""
+        positions = np.array(self.layout.positions)
+        positions[5, 1] = value
+        with pytest.raises(ValidationError, match="layout positions must have finite"):
+            ElementLayout(positions=positions, group_of=self.layout.group_of,
+                          u=self.layout.u, v=self.layout.v)
+
+    @pytest.mark.parametrize("granularity", ["group", "element", None, 1])
+    def test_granularity_must_be_a_member(self, granularity):
+        """A string would skip the group check in validate_against."""
+        with pytest.raises(ValidationError, match="granularity must be a Granularity"):
+            Configuration(states=(1,) + (0,) * 15, granularity=granularity)
 
     @pytest.mark.parametrize("state", [1.5, 1.0, np.float64(1.0), "1", math.nan, math.inf,
                                        True, np.bool_(True), None, -1, np.int64(-1)])
