@@ -45,13 +45,16 @@ class BeamformerResult:
 
 
 def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
-    """ZF of a (..., K, Nt) stack: (rates (..., K), sum rate, Gram condition
-    number, degenerate mask), each over the stack axes.
+    """ZF of a (..., K, Nt) stack: (rates (..., K), sum rate, degenerate
+    mask), each over the stack axes.
 
     Stream k's SINR is (P / K) / (N [(H H^H)^-1]_kk).  K <= 2 uses the
     closed-form Hermitian eigenvalues and inverse, larger K stacked LAPACK.
-    A channel whose condition number is not below ``CONDITION_LIMIT``, or
-    whose rates are not finite, is degenerate and scores 0.  The work runs on
+    A channel is accepted when its Gram matrix is well conditioned: K = 1
+    when the Gram entry is positive, K = 2 when the smaller eigenvalue is
+    positive and the eigenvalue ratio below ``CONDITION_LIMIT``, K >= 3 when
+    LAPACK's condition number is below it.  Any other channel, or one whose
+    rates are not finite, is degenerate and scores 0.  The work runs on
     ``H.T`` so that antennas and users are summed by :func:`ordered_sum`.
     """
     k_users, n_antennas = H.shape[-2:]
@@ -60,15 +63,15 @@ def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
             f"too many users for ZF: K={k_users} > Nt={n_antennas}"
         )
     Ht = H.T  # (Nt, K, ...) with the stack axes reversed
-    if k_users <= 2:  # only the Gram entries the closed form reads
-        diag = ordered_sum(Ht * Ht.conj()).real  # (K, ...)
-        if k_users == 2:
-            off_diag = np.abs(ordered_sum(Ht[:, 0] * Ht[:, 1].conj()))
-    else:
-        gram = ordered_sum(Ht[:, :, None] * Ht.conj()[:, None, :])  # (K, K, ...)
     with np.errstate(all="ignore"):  # degenerate channels are masked below
+        if k_users <= 2:  # only the Gram entries the closed form reads
+            diag = ordered_sum(Ht * Ht.conj()).real  # (K, ...)
+            if k_users == 2:
+                off_diag = np.abs(ordered_sum(Ht[:, 0] * Ht[:, 1].conj()))
+        else:
+            gram = ordered_sum(Ht[:, :, None] * Ht.conj()[:, None, :])  # (K, K, ...)
         if k_users == 1:
-            cond = np.where(diag[0] > 0, 1.0, np.inf)
+            accepted = diag[0] > 0
             inverse_diag = 1.0 / diag
         elif k_users == 2:
             a, c = diag
@@ -76,25 +79,31 @@ def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
             half_gap = np.hypot(0.5 * (a - c), off_diag)
             eig_max = mean + half_gap
             eig_min = mean - half_gap
-            cond = np.where(eig_min > 0, eig_max / eig_min, np.inf)
+            accepted = (eig_min > 0) & (eig_max / eig_min < CONDITION_LIMIT)
             inverse_diag = diag[::-1] / (eig_max * eig_min)
         else:
             users = np.arange(k_users)
-            eye = np.eye(k_users)
             stack = np.moveaxis(gram, (0, 1), (-2, -1))
-            finite = np.isfinite(stack).all(axis=(-2, -1))
-            cond = np.where(finite, np.linalg.cond(
-                np.where(finite[..., None, None], stack, eye)), np.inf)
+            accepted = _gram_condition(stack) < CONDITION_LIMIT
             inverse = np.linalg.inv(
-                np.where((cond < CONDITION_LIMIT)[..., None, None], stack, eye))
+                np.where(accepted[..., None, None], stack, np.eye(k_users)))
             inverse_diag = np.moveaxis(inverse[..., users, users].real, -1, 0)
         rates = np.log2(1.0 + (total_power_w / k_users) / (noise_power_w * inverse_diag))
     total = ordered_sum(rates)
-    degenerate = ~((cond < CONDITION_LIMIT) & np.isfinite(total))
+    degenerate = ~(accepted & np.isfinite(total))
     if degenerate.any():
         rates[:, degenerate] = 0.0
         total[degenerate] = 0.0
-    return rates.T, total.T, cond.T, degenerate.T
+    return rates.T, total.T, degenerate.T
+
+
+def _gram_condition(stack: np.ndarray) -> np.ndarray:
+    """LAPACK condition numbers of a (..., K, K) stack of Gram matrices; inf
+    for a matrix with a non-finite entry."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    with np.errstate(all="ignore"):
+        cond = np.linalg.cond(np.where(finite[..., None, None], stack, np.eye(stack.shape[-1])))
+    return np.where(finite, cond, np.inf)
 
 
 def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> BeamformerResult:
@@ -108,14 +117,14 @@ def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> Beamform
         raise ValidationError("total power and noise power must be positive and finite")
     if not np.all(np.isfinite(H)):
         raise ValidationError("channel entries must be finite")
-    rates, total, cond, degenerate = _zero_forcing(H[None], total_power_w,
-                                                   noise_power_w)
+    rates, total, degenerate = _zero_forcing(H[None], total_power_w, noise_power_w)
+    herm = H.conj().T
+    gram = H @ herm
     if degenerate[0]:
         raise RankDeficientChannelError(
-            f"channel Gram matrix condition number {cond[0]:.3e} exceeds "
+            f"channel Gram matrix condition number {_gram_condition(gram):.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}, or its pseudo-inverse has a zero column")
-    herm = H.conj().T
-    raw = herm @ np.linalg.inv(H @ herm)  # (Nt, K), H @ raw = I
+    raw = herm @ np.linalg.inv(gram)  # (Nt, K), H @ raw = I
     norms = np.sqrt(np.sum(np.abs(raw) ** 2, axis=0))
     power = np.full(H.shape[0], total_power_w / H.shape[0])
     return BeamformerResult(precoder=raw / norms[None, :], power_allocation=power,
@@ -140,7 +149,7 @@ def evaluate_rates(scene: Scene, layout: ElementLayout, table: StateTable,
     if geometry is None:
         geometry = channel_geometry(scene, layout)
     H = _configuration_channels(geometry, table, config, () if fading is None else (fading,))
-    rates, total, _, degenerate = _zero_forcing(H, scene.tx_power_w, scene.noise_power_w)
+    rates, total, degenerate = _zero_forcing(H, scene.tx_power_w, scene.noise_power_w)
     return RateResult(sum_rate=float(total[0]), per_user_rate=rates[0],
                       degenerate=bool(degenerate[0]))
 
@@ -210,9 +219,9 @@ class _UnitProblem:
     def score_channels(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`score` of the candidates' (B, R, K, Nt) channels."""
         if H.shape[1] == 1:  # as evaluate_rates; a unit axis slows ZF's many small calls
-            _, total, _, degenerate = _zero_forcing(H[:, 0], *self.powers)
+            _, total, degenerate = _zero_forcing(H[:, 0], *self.powers)
             return total, degenerate
-        _, total, _, degenerate = _zero_forcing(H, *self.powers)
+        _, total, degenerate = _zero_forcing(H, *self.powers)
         return (np.array([math.fsum(rates) / len(rates) for rates in total.tolist()]),
                 degenerate.any(axis=1))
 
@@ -254,25 +263,30 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
     width = len(offsets)
     limit = max(1, PASS_ENTRIES // (max(width, 1) * problem.kernel.members.shape[1]
                                     * problem.kernel.channel_size))
+    row_units = np.arange(problem.num_units).repeat(width)  # unit of each row
+    columns = np.arange(min(limit, problem.num_units) * width)
     for sweep in range(1, max_sweeps + 1):
         before = current
         start = 0
+        # Each row's state: a unit that moves is not scored again this sweep.
+        new_states = (offsets + (offsets >= states[:, None])).ravel()
         while width and start < problem.num_units:
-            units = np.arange(start, min(start + limit, problem.num_units))
-            new_states = offsets + (offsets >= states[units, None])  # (W, P - 1)
-            groups, changed = problem.flips(states, units.repeat(width), new_states.ravel())
+            stop = min(start + limit, problem.num_units)
+            rows = slice(start * width, stop * width)
+            groups, changed = problem.flips(states, row_units[rows], new_states[rows])
             trial = np.repeat(partials, len(groups), axis=1)
-            trial[groups, np.arange(len(groups))] = changed
+            trial[groups, columns[:len(groups)]] = changed
             values, degenerate = problem.score(trial)
-            values = values.reshape(len(units), width)
-            improving = np.flatnonzero(values.max(axis=1) > current)
-            decided = int(improving[0]) + 1 if len(improving) else len(units)
+            first = int((values > current).argmax())  # the first improving row, if any
+            improving = values[first] > current
+            decided = first // width + 1 if improving else stop - start
             problem.count(degenerate[:decided * width])
             start += decided
-            if len(improving):  # unit start - 1 takes its best state, the lowest if tied
-                row = (decided - 1) * width + int(np.argmax(values[decided - 1]))
-                states[start - 1] = new_states.flat[row]
-                current = float(values.flat[row])
+            if improving:  # unit start - 1 takes its best state, the lowest if tied
+                unit_rows = slice((decided - 1) * width, decided * width)
+                row = unit_rows.start + int(np.argmax(values[unit_rows]))
+                states[start - 1] = new_states[rows.start + row]
+                current = float(values[row])
                 partials[groups[row]] = changed[row]
         trace.append((sweep, current))
         improvement = (current - before) / max(abs(before), 1e-30)
@@ -317,7 +331,7 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
         depth += 1
     leaf = num_states ** depth
     digits = num_states ** np.arange(num_units - 1, -1, -1)
-    free = [np.arange(num_states)] * depth
+    free = [slice(None)] * depth  # every state, as a view of the group's table
     best_index, best_value = 0, -math.inf
     for start in range(0, space, leaf):
         if granularity is Granularity.GROUP:

@@ -373,9 +373,12 @@ def ordered_sum(terms: np.ndarray) -> np.ndarray:
 
     numpy reduces the first axis of C-ordered terms of 2 or more entries one
     whole term at a time, so other layouts are copied to C order; it would
-    sum one-entry terms pairwise, so those are accumulated.  A property test
-    pins this undocumented order.
+    sum one-entry terms pairwise, so those are accumulated.  The sum of one
+    term is a copy of it, as the reduce returns.  A property test pins this
+    undocumented order.
     """
+    if len(terms) == 1:
+        return terms[0].copy()
     if terms[0].size < 2:
         return np.add.accumulate(terms, axis=0)[-1]
     return np.add.reduce(np.ascontiguousarray(terms), axis=0)
@@ -461,7 +464,8 @@ class ChannelKernel:
 
     def product_channels(self, choices) -> np.ndarray:
         """(B, R, K, Nt) channels of every candidate whose group g takes a state
-        in ``choices[g]``, in lexicographic order (group 0 most significant).
+        in ``choices[g]`` (indices, or a slice of the states), in lexicographic
+        order (group 0 most significant).
 
         The channels of :meth:`channels`, bitwise: the ordered group sum is
         expanded one group at a time, so each prefix's sum is made once.

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, require_int
+from .errors import ValidationError, require_ints
 from .geometry import Side
 
 TWO_PI = 2.0 * math.pi
@@ -197,8 +197,7 @@ class Configuration:
     granularity: Granularity = Granularity.ELEMENT
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(require_int("state index", s, 0)
-                                                 for s in self.states))
+        object.__setattr__(self, "states", require_ints("state index", self.states, 0))
         if len(self.states) == 0:
             raise ValidationError("configuration must cover at least one element")
         if not isinstance(self.granularity, Granularity):
@@ -219,7 +218,7 @@ class Configuration:
             raise ValidationError(
                 f"expected {layout.num_groups} group states, got {len(group_states)}"
             )
-        expanded = tuple(group_states[g] for g in layout.group_of)
+        expanded = tuple(group_states[g] for g in layout.group_of.tolist())
         return Configuration(states=expanded, granularity=Granularity.GROUP)
 
     def group_states(self, layout) -> tuple[int, ...]:

@@ -45,3 +45,12 @@ def require_int(name: str, value, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")
     return int(value)
+
+
+def require_ints(name: str, values, minimum: int) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each checked by :func:`require_int`, with
+    its message; values that are all Python ints are checked in one scan."""
+    values = tuple(values)
+    if set(map(type, values)) == {int} and min(values) >= minimum:
+        return values
+    return tuple(require_int(name, value, minimum) for value in values)

@@ -27,9 +27,20 @@ PLANE_EPS = 1e-9   # metres; closer than this to the plane counts as "in plane"
 UNIT_EPS = 1e-12
 
 
+def _real_array(value, message: str) -> np.ndarray:
+    """``value`` as a new float array; ValidationError with ``message`` if it
+    is complex, ragged or not numeric."""
+    try:
+        if not np.iscomplexobj(value):  # numpy would drop an imaginary part
+            return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(message)
+
+
 def as_vec3(value, name: str = "vector") -> Vec3:
     """Coerce to a read-only finite (3,) float array."""
-    v = np.array(value, dtype=float)
+    v = _real_array(value, f"{name} must have 3 real components")
     if v.shape != (3,):
         raise ValidationError(f"{name} must have 3 components, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -41,7 +52,8 @@ def as_vec3(value, name: str = "vector") -> Vec3:
 def as_points(value, name: str) -> np.ndarray:
     """Coerce to a read-only finite (N, 3) float array with N >= 1; one
     [x, y, z] is one point."""
-    points = np.atleast_2d(np.array(value, dtype=float))
+    points = np.atleast_2d(
+        _real_array(value, f"{name} must be a non-empty list of real [x, y, z]"))
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
         raise ValidationError(f"{name} must be a non-empty list of [x, y, z]")
     if not np.all(np.isfinite(points)):

@@ -332,7 +332,9 @@ class TestSnrAt:
                    Configuration.uniform(640, 0), [0.0, 0.4, 0.1])
 
     @pytest.mark.parametrize("point", [[math.inf, 0.0, 0.0], [1.0, math.inf, 0.0],
-                                       [math.nan, 0.0, 1.0], [1.0, 2.0]])
+                                       [math.nan, 0.0, 1.0], [1.0, 2.0], "abc",
+                                       [1.0 + 2j, 0.0, 1.0], np.array([0.0, 1j, 1.0]),
+                                       [[0.0, 0.0], 1.0]])
     def test_rejects_malformed_point(self, prototype, prototype_layout, point):
         with pytest.raises(ValidationError, match="^point must"):
             snr_at(prototype.scene, prototype_layout, prototype.table,

@@ -10,7 +10,11 @@ from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
                      channel_geometry, evaluate_rates, exhaustive_optimize,
                      greedy_optimize, random_baseline, relaxed_upper_bound,
                      statistical_optimize, sum_rate, zf_precoder)
+from omnisim.beamforming import CONDITION_LIMIT, _zero_forcing
 
+
+# zf_precoder computes the condition number only for this message.
+CONDITION_MESSAGE = r"^channel Gram matrix condition number (\d\.\d{3}e\+\d+|inf) exceeds 1e\+12"
 
 THREE_STATES = StateTable(states=(
     CoefficientPair(0.4, 0.0, 0.5, 1.0),
@@ -63,7 +67,7 @@ class TestZfPrecoder:
     def test_identical_rows_raise_rank_error(self):
         row = np.array([[1.0 + 1j, 2.0 - 0.5j]])
         H = np.vstack([row, row])
-        with pytest.raises(RankDeficientChannelError):
+        with pytest.raises(RankDeficientChannelError, match=CONDITION_MESSAGE):
             zf_precoder(H, 1.0, 1.0)
 
     def test_too_many_users(self, rng):
@@ -106,6 +110,96 @@ class TestZfPrecoder:
         a = zf_precoder(H, 2.0, 0.25)
         b = zf_precoder(H, 2.0 * 7.5, 0.25 * 7.5)
         assert np.allclose(a.per_user_rate, b.per_user_rate, rtol=1e-12)
+
+
+def condition_array_rule(H, total_power_w, noise_power_w):
+    """(degenerate flags, condition numbers) of a (B, K, Nt) stack by the rule
+    that kept a condition-number array: K = 1 ``where(g > 0, 1, inf)``, K = 2
+    ``where(eig_min > 0, eig_max / eig_min, inf)`` from the closed-form
+    eigenvalues, K >= 3 LAPACK's ``cond`` (inf for a non-finite Gram).  A
+    channel is accepted when that is below CONDITION_LIMIT and its rates are
+    finite.  Antennas are summed in index order, as ordered_sum sums them."""
+    k = H.shape[1]
+    with np.errstate(all="ignore"):
+        gram = H[:, :, None, 0] * H[:, None, :, 0].conj()
+        for n in range(1, H.shape[2]):
+            gram = gram + H[:, :, None, n] * H[:, None, :, n].conj()
+        if k == 1:
+            g = gram[:, 0, 0].real
+            cond = np.where(g > 0, 1.0, np.inf)
+            inverse_diag = 1.0 / g[:, None]
+        elif k == 2:
+            a, c = gram[:, 0, 0].real, gram[:, 1, 1].real
+            mean = 0.5 * (a + c)
+            half_gap = np.hypot(0.5 * (a - c), np.abs(gram[:, 0, 1]))
+            eig_max, eig_min = mean + half_gap, mean - half_gap
+            cond = np.where(eig_min > 0, eig_max / eig_min, np.inf)
+            inverse_diag = np.stack([c, a], axis=1) / (eig_max * eig_min)[:, None]
+        else:
+            finite = np.isfinite(gram).all(axis=(1, 2))
+            eye = np.eye(k)
+            cond = np.where(finite, np.linalg.cond(np.where(finite[:, None, None], gram, eye)),
+                            np.inf)
+            inverse = np.linalg.inv(np.where((cond < CONDITION_LIMIT)[:, None, None], gram, eye))
+            inverse_diag = np.diagonal(inverse, axis1=1, axis2=2).real
+        rates = np.log2(1.0 + (total_power_w / k) / (noise_power_w * inverse_diag))
+    return ~((cond < CONDITION_LIMIT) & np.isfinite(rates.sum(axis=1))), cond
+
+
+def condition_limit_pair():
+    """Channels diag(1, d) (K = Nt = 2) at adjacent d whose closed-form
+    eigenvalue ratio falls just below CONDITION_LIMIT and reaches it."""
+    def degenerate(d):
+        return condition_array_rule(np.array([[[1, 0], [0, d]]], dtype=complex), 1.0, 1.0)[0][0]
+    above, below = 1e-7, 1e-5  # ratios about 1e14 and 1e10
+    while np.nextafter(above, below) != below:
+        middle = 0.5 * (above + below)
+        if degenerate(middle):
+            above = middle
+        else:
+            below = middle
+    return [np.array([[1, 0], [0, d]], dtype=complex) for d in (below, above)]
+
+
+class TestZeroForcingAcceptance:
+    """_zero_forcing decides acceptance without a condition-number array;
+    every flag is the old rule's, and a degenerate channel scores 0."""
+
+    NAN, INF = complex(math.nan, 0), complex(math.inf, 0)
+
+    def check(self, channels, expected):
+        H = np.array(channels, dtype=complex)
+        rates, total, degenerate = _zero_forcing(H, 2.0, 0.5)
+        old, _ = condition_array_rule(H, 2.0, 0.5)
+        assert degenerate.tolist() == expected == old.tolist()
+        assert (rates[degenerate] == 0.0).all() and (total[degenerate] == 0.0).all()
+        assert (total[~degenerate] > 0.0).all() and np.isfinite(rates).all()
+
+    def test_one_user(self):
+        self.check([[[0, 0]], [[self.NAN, 1]], [[self.INF, 1]], [[1, 2j]]],
+                   [True, True, True, False])
+
+    def test_two_users(self, rng):
+        below, above = condition_limit_pair()
+        ratios = condition_array_rule(np.array([below, above]), 2.0, 0.5)[1]
+        assert ratios[0] < CONDITION_LIMIT <= ratios[1] < CONDITION_LIMIT * 1.001
+        self.check([np.zeros((2, 2)), [[1, 2], [1, 2]], below, above,
+                    [[1, self.NAN], [0, 1]], [[1, 0], [self.INF, 1]],
+                    random_channel(rng, 2, 2)],
+                   [True, True, False, True, True, True, False])
+
+    def test_three_users_use_lapack(self, rng):
+        good = random_channel(rng, 3, 3)
+        singular = np.vstack([good[:2], good[:1]])
+        with_nan, with_inf = good.copy(), good.copy()
+        with_nan[2, 1], with_inf[0, 2] = self.NAN, self.INF
+        self.check([good, singular, with_nan, with_inf, np.zeros((3, 3))],
+                   [False, True, True, True, True])
+
+    @pytest.mark.parametrize("channel", [np.zeros((1, 2)), [[1, 2, 3], [2, 4, 6], [0, 1, 1]]])
+    def test_zf_precoder_reports_the_condition_number(self, channel):
+        with pytest.raises(RankDeficientChannelError, match=CONDITION_MESSAGE):
+            zf_precoder(np.array(channel, dtype=complex), 1.0, 1.0)
 
 
 class TestSumRate:

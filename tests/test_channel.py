@@ -354,6 +354,19 @@ class TestSceneValidation:
             make_scene(tiny_panel(), [[0, 0, 1.0], [0, 0, -1.0]],
                        [0, 0, -2.0])
 
+    @pytest.mark.parametrize("points", [[[0, 0, 1.0], [0, 0]], "abc", [[1 + 2j, 0, 1.0]],
+                                        np.array([[0, 0, 1j]]), [[0, 0, None], [0]]])
+    @pytest.mark.parametrize("field, name", [("bs_antennas", "bs antennas"),
+                                             ("users", "users")])
+    def test_rejects_points_that_are_not_real_arrays(self, field, name, points):
+        """Ragged, non-numeric or complex terminals are a ValidationError
+        naming them, not numpy's ValueError or a dropped imaginary part."""
+        terminals = {"bs_antennas": [[0, 0, 1.0]], "users": [[0, 0, -1.0]], field: points}
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be a non-empty list of real"):
+            Scene(frequency_hz=3.6e9, panel=tiny_panel(), tx_power_dbm=0.0,
+                  bandwidth_hz=1e6, **terminals)
+
 
 class TestElementFactor:
     def test_cosine_factor_attenuates_oblique_paths(self):

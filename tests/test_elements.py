@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,18 +250,25 @@ class TestConfiguration:
                                        True, np.bool_(True), None, -1, np.int64(-1)])
     def test_non_integer_or_negative_state_rejected(self, state):
         """Only Python and numpy integers of at least 0 are state indices:
-        no float is truncated, no string parsed, no bool taken for 0 or 1."""
-        with pytest.raises(ValidationError, match="state index"):
-            Configuration(states=(0, state))
-        with pytest.raises(ValidationError, match="state index"):
+        no float is truncated, no string parsed, no bool taken for 0 or 1.
+        Beside Python ints, in a tuple or a list, the value gets the message
+        of the one-value check."""
+        message = re.escape(f"state index must be an integer of at least 0, got {state!r}")
+        for states in [(0, state), (0, 1, state), [state, 1], (state,) + (0,) * 15]:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                Configuration(states=states)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             Configuration.from_group_states(self.layout, [state] * 4)
 
     def test_numpy_integer_states_become_ints(self):
-        config = Configuration(states=tuple(np.arange(3, dtype=np.int64)))
-        assert config.states == (0, 1, 2)
-        assert all(type(s) is int for s in config.states)
+        for states in [tuple(np.arange(3, dtype=np.int64)), (0, np.int64(1), 2), [0, 1, 2],
+                       (0, np.uint8(1), np.int32(2))]:
+            config = Configuration(states=states)
+            assert config.states == (0, 1, 2)
+            assert all(type(s) is int for s in config.states)
         grouped = Configuration.from_group_states(self.layout, np.array([1, 0, 1, 0]))
         assert grouped == Configuration.from_group_states(self.layout, [1, 0, 1, 0])
+        assert all(type(s) is int for s in grouped.states)
 
     def test_validate_against_table(self, prototype):
         table = prototype.table
