@@ -17,7 +17,7 @@ import numpy as np
 from .channel import (Scene, _direct_gains, _hop_gains, channel_geometry,
                       db_to_linear)
 from .elements import Configuration, StateTable
-from .errors import SideUndefinedError, ValidationError, require_int
+from .errors import SideUndefinedError, ValidationError, require_int, require_real
 from .geometry import ElementLayout, Side, as_vec3
 
 # Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
@@ -57,8 +57,8 @@ class CoverageGrid:
     def __post_init__(self):
         for name in ("nx", "ny"):
             object.__setattr__(self, name, require_int(f"grid {name}", getattr(self, name), 1))
-        if not all(math.isfinite(v) for v in (self.x0, self.x1, self.y0, self.y1)):
-            raise ValidationError("grid extents must be finite")
+        for name in ("x0", "x1", "y0", "y1"):
+            object.__setattr__(self, name, require_real(f"grid {name}", getattr(self, name)))
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValidationError("grid extents must satisfy x1 >= x0, y1 >= y0")
 
@@ -87,8 +87,7 @@ class CoverageMap:
 def _pattern_angles(step_deg: float) -> np.ndarray:
     """Symmetric grid k*step strictly inside (-90, 90); a finite step >
     range gives the single broadside sample."""
-    if not 0 < step_deg < math.inf:
-        raise ValidationError("step_deg must be positive and finite")
+    step_deg = require_real("step_deg", step_deg, positive=True)
     kmax = int(math.floor((90.0 - 1e-9) / step_deg))
     return np.arange(-kmax, kmax + 1) * step_deg
 
@@ -141,8 +140,7 @@ def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
     channel from BS antenna n to the probe (element factor included), and
     valid flags probes that fell outside the panel plane.
     """
-    if not 0 < eval_radius < math.inf:
-        raise ValidationError("eval_radius must be positive and finite")
+    eval_radius = require_real("eval_radius", eval_radius, positive=True)
     if cut not in ("azimuth", "elevation"):
         raise ValidationError(f"unknown cut {cut!r}; expected azimuth or elevation")
     theta = np.deg2rad(np.asarray(angles_deg, dtype=float))

@@ -20,7 +20,7 @@ from .channel import (PASS_ENTRIES, ChannelGeometry, ChannelKernel, FadingModel,
                       channel_geometry, draw_realizations, ordered_sum)
 from .elements import Configuration, Granularity, StateTable
 from .errors import (RankDeficientChannelError, SearchSpaceError,
-                     TooManyUsersError, ValidationError, require_int)
+                     TooManyUsersError, ValidationError, require_int, require_real)
 from .geometry import ElementLayout, Side
 
 CONDITION_LIMIT = 1e12
@@ -113,8 +113,8 @@ def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> Beamform
     H H^H is singular or its condition number reaches 1e12.
     """
     H = np.atleast_2d(np.asarray(channel, dtype=complex))
-    if not (0 < total_power_w < math.inf and 0 < noise_power_w < math.inf):
-        raise ValidationError("total power and noise power must be positive and finite")
+    total_power_w = require_real("total_power_w", total_power_w, positive=True)
+    noise_power_w = require_real("noise_power_w", noise_power_w, positive=True)
     if not np.all(np.isfinite(H)):
         raise ValidationError("channel entries must be finite")
     rates, total, degenerate = _zero_forcing(H[None], total_power_w, noise_power_w)

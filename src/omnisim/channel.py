@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .elements import Configuration, StateTable
-from .errors import InvalidSceneError, ValidationError, require_int
+from .errors import InvalidSceneError, ValidationError, require_int, require_real
 from .geometry import ElementLayout, PanelSpec, as_points
 
 SPEED_OF_LIGHT = 299792458.0
@@ -44,7 +44,10 @@ def db_to_linear(db: float) -> float:
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:  # beyond the float range
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,17 +67,21 @@ class Scene:
     direct_path: bool = False
     plane_wave_incidence: bool = False
     element_factor_q: float = 0.0
+    tx_power_w: float = field(init=False)
+    noise_power_w: float = field(init=False)
 
     def __post_init__(self):
         for name in ("frequency_hz", "bandwidth_hz"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, require_real(name, getattr(self, name), positive=True))
         for name in ("tx_power_dbm", "noise_figure_db", "tx_gain_db", "rx_gain_db",
                      "lna_gain_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if not 0 <= self.element_factor_q < math.inf:
-            raise ValidationError("element_factor_q must be non-negative and finite")
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
+        object.__setattr__(self, "element_factor_q",
+                           require_real("element_factor_q", self.element_factor_q, 0.0))
+        # Watts once per scene, so no dBm value overflows or underflows later.
+        noise_dbm = noise_power(self.bandwidth_hz, self.noise_figure_db)
+        for name, dbm in (("tx_power_w", self.tx_power_dbm), ("noise_power_w", noise_dbm)):
+            object.__setattr__(self, name, require_real(name, dbm_to_watts(dbm), positive=True))
         # Frozen copies, so the caller's arrays stay writable and a write to
         # them cannot reach a cached channel geometry.
         bs = as_points(self.bs_antennas, "bs antennas")
@@ -105,14 +112,6 @@ class Scene:
     def num_users(self) -> int:
         return self.users.shape[0]
 
-    @property
-    def tx_power_w(self) -> float:
-        return dbm_to_watts(self.tx_power_dbm)
-
-    @property
-    def noise_power_w(self) -> float:
-        return dbm_to_watts(noise_power(self.bandwidth_hz, self.noise_figure_db))
-
     @cached_property
     def bs_side_sign(self) -> int:
         """Sign of the BS half-space; +1 along the panel normal."""
@@ -130,9 +129,9 @@ def friis_gain(distance, wavelength: float):
     Accepts scalar or array distances; raises on a non-positive or non-finite input.
     """
     d = np.asarray(distance, dtype=float)
-    if not (np.all((d > 0) & (d < math.inf)) and 0 < wavelength < math.inf):
-        raise ValidationError("friis_gain requires positive distance and wavelength, finite")
-    out = _friis(d, wavelength)
+    if not np.all((d > 0) & np.isfinite(d)):
+        raise ValidationError("friis_gain requires positive distances, finite")
+    out = _friis(d, require_real("wavelength", wavelength, positive=True))
     return complex(out) if np.isscalar(distance) else out
 
 
@@ -151,9 +150,8 @@ def _friis(d: np.ndarray, wavelength: float) -> np.ndarray:
 
 def noise_power(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
     """Thermal noise power in dBm: -174 + 10 log10(B) + NF."""
-    if not (0 < bandwidth_hz < math.inf and math.isfinite(noise_figure_db)):
-        raise ValidationError("bandwidth must be positive and finite, noise figure finite")
-    return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
+    return (-174.0 + 10.0 * math.log10(require_real("bandwidth_hz", bandwidth_hz, positive=True))
+            + require_real("noise_figure_db", noise_figure_db))
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,9 @@ class LinkBudgetChain:
     items: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.tx_power_dbm, *(v for _, v in self.items))):
-            raise ValidationError("link budget power and items must be finite")
+        object.__setattr__(self, "tx_power_dbm", require_real("tx_power_dbm", self.tx_power_dbm))
+        object.__setattr__(self, "items", tuple((label, require_real(
+            f"link budget item {label!r}", value)) for label, value in self.items))
 
 
 def link_budget(chain: LinkBudgetChain) -> float:
@@ -192,17 +191,14 @@ def prototype_chain(scene: Scene, ios_gain_db: float,
     )
 
 
-def _hop_gains(points: np.ndarray, layout: ElementLayout, scene: Scene) -> np.ndarray:
-    """Free-space gains between each point (rows) and each element (cols),
-    times the cos^q element factor toward the point.
-
-    The only element -> point hop: the channel, coverage map, pattern and
-    point SNR all go through it.
-    """
-    # Per axis, without a (P, M, 3) temporary: |(dx*nx + dy*ny) + dz*nz| and
+def _free_space(points: np.ndarray, sources: np.ndarray, source: str, scene: Scene,
+                q: float = 0.0) -> np.ndarray:
+    """Free-space gains between each point (rows) and each ``source`` (cols),
+    times the cos^q factor of the panel normal toward the point."""
+    # Per axis, without a (P, S, 3) temporary: |(dx*nx + dy*ny) + dz*nz| and
     # the squared distance (dx*dx + dy*dy) + dz*dz, in place.
-    dist, dy, dz = (np.subtract.outer(p, e) for p, e in zip(points.T, layout.positions.T))
-    if scene.element_factor_q > 0:
+    dist, dy, dz = (np.subtract.outer(p, e) for p, e in zip(points.T, sources.T))
+    if q > 0:
         nx, ny, nz = scene.panel.normal
         along_normal = np.abs(dist * nx + dy * ny + dz * nz)
     dist *= dist
@@ -211,11 +207,22 @@ def _hop_gains(points: np.ndarray, layout: ElementLayout, scene: Scene) -> np.nd
     del dy, dz
     np.sqrt(dist, out=dist)
     if np.any(dist <= 0):
-        raise ValidationError("a terminal coincides with an element position")
+        at = sources[np.nonzero(dist <= 0)[1][0]].tolist()
+        raise ValidationError(f"a terminal coincides with {source} at {at}")
     gains = _friis(dist, scene.wavelength)
-    if scene.element_factor_q > 0:
-        gains *= (along_normal / dist) ** scene.element_factor_q
+    if q > 0:
+        gains *= (along_normal / dist) ** q
     return gains
+
+
+def _hop_gains(points: np.ndarray, layout: ElementLayout, scene: Scene) -> np.ndarray:
+    """Free-space gains between each point (rows) and each element (cols),
+    times the cos^q element factor toward the point.
+
+    The only element -> point hop: the channel, coverage map, pattern and
+    point SNR all go through it.
+    """
+    return _free_space(points, layout.positions, "an element", scene, scene.element_factor_q)
 
 
 def _direct_gains(points: np.ndarray, sides: np.ndarray, scene: Scene) -> np.ndarray:
@@ -223,8 +230,7 @@ def _direct_gains(points: np.ndarray, sides: np.ndarray, scene: Scene) -> np.nda
     points off the BS side (``sides`` as from :meth:`Scene.point_sides`)."""
     direct = np.zeros((len(points), scene.num_antennas), dtype=complex)
     seen = sides > 0
-    dist = np.linalg.norm(points[seen][:, None, :] - scene.bs_antennas[None, :, :], axis=2)
-    direct[seen] = friis_gain(dist, scene.wavelength)
+    direct[seen] = _free_space(points[seen], scene.bs_antennas, "a BS antenna", scene)
     return direct
 
 
@@ -321,8 +327,8 @@ class FadingModel:
 
     def __post_init__(self):
         # +inf (no fading) and -inf (Rayleigh) are valid
-        if math.isnan(self.k_factor_db):
-            raise ValidationError("k_factor_db must not be NaN")
+        object.__setattr__(self, "k_factor_db", require_real(
+            "k_factor_db", self.k_factor_db, -math.inf, math.inf))
 
     @property
     def is_degenerate(self) -> bool:

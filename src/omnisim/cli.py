@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ from .channel import (MEASURED_IOS_RX_GAIN_DB, MEASURED_TX_IOS_GAIN_DB,
                       FadingModel, link_budget, prototype_chain)
 from .elements import Configuration, Granularity
 from .errors import (NumericalError, OmnisimError, SearchSpaceError,
-                     ValidationError)
+                     ValidationError, require_int, require_real)
 from .geometry import Side, build_layout
 from .scene_io import parse_scene
 
@@ -50,12 +49,9 @@ class _CliParser(argparse.ArgumentParser):
 def _finite_float(text: str) -> float:
     """argparse type for dB items: a number that is neither NaN nor infinite."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        return require_real("the value", float(text))
+    except (ValueError, ValidationError):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
 def _int_at_least(minimum: int):
@@ -63,13 +59,10 @@ def _int_at_least(minimum: int):
     (numpy generators take no negative seed), 1 for counts."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
+            return require_int("the value", int(text), minimum)
+        except (ValueError, ValidationError):
             raise argparse.ArgumentTypeError(
-                f"expected an integer of at least {minimum}, got {text!r}")
-        return value
+                f"expected an integer of at least {minimum}, got {text!r}") from None
     return parse
 
 

@@ -14,18 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, require_ints
+from .errors import ValidationError, require_ints, require_real
 from .geometry import Side
 
 TWO_PI = 2.0 * math.pi
 
 # |amp^2 - declared power| beyond this is treated as a transcription error.
 POWER_TOLERANCE = 0.005
-
-
-def _wrap_phase(phase: float) -> tuple[float, bool]:
-    wrapped = phase % TWO_PI
-    return wrapped, wrapped != phase
 
 
 @dataclass(frozen=True)
@@ -49,22 +44,16 @@ class CoefficientPair:
 
     def __post_init__(self):
         for name in ("reflection_amp", "refraction_amp"):
-            amp = getattr(self, name)
-            if not (0.0 <= amp <= 1.0) or not math.isfinite(amp):
-                raise ValidationError(f"{name} must lie in [0, 1], got {amp!r}")
+            object.__setattr__(self, name, require_real(name, getattr(self, name), 0.0, 1.0))
         wrapped_any = False
         for name in ("reflection_phase", "refraction_phase"):
-            phase = float(getattr(self, name))
-            if not math.isfinite(phase):
-                raise ValidationError(f"{name} must be finite, got {phase!r}")
-            value, wrapped = _wrap_phase(phase)
-            object.__setattr__(self, name, value)
-            wrapped_any = wrapped_any or wrapped
+            phase = require_real(name, getattr(self, name))
+            object.__setattr__(self, name, phase % TWO_PI)
+            wrapped_any = wrapped_any or getattr(self, name) != phase
         object.__setattr__(self, "phases_wrapped", wrapped_any)
         for name in ("declared_reflection_power", "declared_refraction_power"):
-            declared = getattr(self, name)
-            if declared is not None and not (0.0 <= declared <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {declared!r}")
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, require_real(name, getattr(self, name), 0.0, 1.0))
 
     def amplitude(self, side: Side) -> float:
         return self.reflection_amp if side is Side.REFLECTION else self.refraction_amp
@@ -161,25 +150,15 @@ def validate_table(table: StateTable) -> TableValidation:
     return TableValidation(entries=tuple(entries))
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two phases, in [0, pi]."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 def quantize_phase(table: StateTable, side: Side, target_phase: float) -> int:
     """Index of the state whose ``side`` phase is circularly closest to target.
 
     Ties break toward the lowest index.
     """
-    target = target_phase % TWO_PI
-    best_index = 0
-    best_dist = math.inf
-    for i, pair in enumerate(table.states):
-        d = circular_distance(pair.phase(side), target)
-        if d < best_dist:
-            best_index, best_dist = i, d
-    return best_index
+    target = require_real("target_phase", target_phase) % TWO_PI
+    gaps = [abs(pair.phase(side) - target) % TWO_PI for pair in table.states]
+    distances = [min(gap, TWO_PI - gap) for gap in gaps]  # circular, in [0, pi]
+    return distances.index(min(distances))
 
 
 class Granularity(Enum):

@@ -4,7 +4,12 @@ The CLI maps these onto exit codes: validation failures exit 2,
 numerical failures exit 3, guard refusals exit 4.
 """
 
+import contextlib
+import math
+
 import numpy as np
+
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 class OmnisimError(Exception):
@@ -45,6 +50,27 @@ def require_int(name: str, value, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")
     return int(value)
+
+
+def require_real(name: str, value, low: float = -FLOAT_MAX, high: float = FLOAT_MAX,
+                 *, positive: bool = False) -> float:
+    """``value`` as a float; ValidationError unless it is a real number
+    (Python or numpy, not a bool, not NaN) in [``low``, ``high``] and, if
+    ``positive``, above 0.  The default bounds are the largest finite floats,
+    so a bound of -inf or inf is what admits an infinity."""
+    real = math.nan
+    if type(value) is float:  # the common case, without the checks below
+        real = value
+    elif not isinstance(value, bool) and isinstance(value, (int, np.integer, np.floating)):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            real = float(value)
+    if low <= real <= high and (real > 0 or not positive):
+        return real
+    rules = ["positive"] * positive + [f"{word} {bound:g}" for word, bound in (
+        ("at least", low), ("at most", high)) if abs(bound) < FLOAT_MAX]
+    rules += ["finite"] * (FLOAT_MAX in (-low, high))  # a default bound
+    that = f" that is {' and '.join(rules)}" if rules else ""
+    raise ValidationError(f"{name} must be a real number{that}, got {value!r}")
 
 
 def require_ints(name: str, values, minimum: int) -> tuple[int, ...]:

@@ -12,14 +12,15 @@ parallel to x), and ``v = normal x u``.  Columns run along ``u`` with pitch
 
 from __future__ import annotations
 
-import math
+import contextlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSceneError, SideUndefinedError, ValidationError, require_int
+from .errors import (InvalidSceneError, SideUndefinedError, ValidationError, require_int,
+                     require_real)
 
 Vec3 = np.ndarray  # shape (3,), float64
 
@@ -29,12 +30,12 @@ UNIT_EPS = 1e-12
 
 def _real_array(value, message: str) -> np.ndarray:
     """``value`` as a new float array; ValidationError with ``message`` if it
-    is complex, ragged or not numeric."""
-    try:
-        if not np.iscomplexobj(value):  # numpy would drop an imaginary part
-            return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        pass
+    is ragged or its entries are not integers or floats (no string, bool,
+    complex number or other object is read as a coordinate)."""
+    with contextlib.suppress(TypeError, ValueError):  # numpy refuses ragged input
+        array = np.asarray(value)
+        if array.dtype.kind in "iuf":
+            return np.array(array, dtype=float)
     raise ValidationError(message)
 
 
@@ -115,8 +116,9 @@ class PanelSpec:
             raise ValidationError(
                 f"cols ({self.cols}) not divisible by group_cols ({self.group_cols})"
             )
-        if not (0 < self.dx < math.inf and 0 < self.dy < math.inf):
-            raise ValidationError("element pitch dx, dy must be positive and finite")
+        for name in ("dx", "dy"):
+            object.__setattr__(self, name,
+                               require_real(f"panel {name}", getattr(self, name), positive=True))
 
     @property
     def num_elements(self) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import Scene
 from .elements import CoefficientPair, StateTable, validate_table
-from .errors import OmnisimError, ValidationError
+from .errors import OmnisimError, ValidationError, require_int, require_real
 from .geometry import PanelSpec
 
 
@@ -44,17 +44,11 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
 
 
 def _number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        _fail(path, f"expected a number, got {obj!r}")
-    if not math.isfinite(obj):
-        _fail(path, f"expected a finite number, got {obj!r}")
-    return float(obj)
+    return require_real(f"{path}:", obj)  # "<path>: must be a real number ..."
 
 
 def _integer(obj, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        _fail(path, f"expected an integer, got {obj!r}")
-    return obj
+    return require_int(f"{path}:", obj, 1)  # every integer of the format is a count
 
 
 def _boolean(obj, path: str) -> bool:

@@ -1,9 +1,20 @@
-"""The public API stays small: ``omnisim.__all__`` is the whole of it."""
+"""The public API stays small (``omnisim.__all__`` is the whole of it), and
+each input check has one owner in ``errors``."""
 
 import ast
+import math
+from functools import partial
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import omnisim
+from omnisim import (CoefficientPair, Configuration, CoverageGrid, FadingModel,
+                     LinkBudgetChain, PanelSpec, Scene, Side, StateTable, ValidationError,
+                     build_layout, friis_gain, noise_power, parse_scene_dict, quantize_phase,
+                     radiation_pattern, zf_precoder)
+from omnisim.analysis import pattern_power
 
 MAX_PUBLIC_NAMES = 51  # ROADMAP: the public API gets smaller, not larger
 
@@ -16,17 +27,124 @@ def test_public_api_is_bounded_and_resolves():
     assert not missing
 
 
+def source_trees():
+    """(file name, AST) of every package module but ``errors.py``."""
+    for path in sorted(Path(omnisim.__file__).parent.glob("*.py")):
+        if path.name != "errors.py":
+            yield path.name, ast.parse(path.read_text(), str(path))
+
+
 def test_integer_checks_have_one_owner():
     """Only ``errors.require_int`` asks ``isinstance(..., np.integer)``, so
     no hand-written integer check (which takes a bool for a count) creeps back."""
     offenders = []
-    for path in sorted(Path(omnisim.__file__).parent.glob("*.py")):
-        if path.name == "errors.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, tree in source_trees():
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance" and len(node.args) == 2
                     and any(isinstance(sub, ast.Attribute) and sub.attr == "integer"
                             for sub in ast.walk(node.args[1]))):
-                offenders.append(f"{path.name}:{node.lineno}")
+                offenders.append(f"{name}:{node.lineno}")
     assert not offenders, f"hand-written integer checks: {offenders}"
+
+
+def is_math(node, attr: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def test_real_checks_have_one_owner():
+    """Only ``errors.require_real`` asks whether a scalar is finite or NaN:
+    no ``math.isfinite`` or ``math.isnan`` call and no comparison against
+    ``math.inf`` anywhere else, so no hand-written check (which reads a bool
+    as a number or lets a string reach numpy) creeps back."""
+    offenders = []
+    for name, tree in source_trees():
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Call)
+                 and (is_math(node.func, "isfinite") or is_math(node.func, "isnan")))
+                    or (isinstance(node, ast.Compare)
+                        and any(is_math(sub, "inf") for sub in ast.walk(node)))):
+                offenders.append(f"{name}:{node.lineno}")
+    assert not offenders, f"hand-written real-number checks: {offenders}"
+
+
+PANEL = dict(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1, cols=2, dx=0.04, dy=0.04,
+             group_rows=1, group_cols=1)
+SCENE = dict(frequency_hz=3.6e9, bs_antennas=[[0, 0, 1.0]], users=[[0.3, 0, -1.0]],
+             tx_power_dbm=0.0, bandwidth_hz=1e6)
+PAIR = dict(reflection_amp=0.5, reflection_phase=0.1, refraction_amp=0.5,
+            refraction_phase=0.2)
+
+
+def pattern_inputs():
+    panel = PanelSpec(**PANEL)
+    layout = build_layout(panel)
+    table = StateTable(states=(CoefficientPair(**PAIR),))
+    return Scene(panel=panel, **SCENE), layout, table, Configuration.uniform(2, 0)
+
+
+def scene_document(tx_dbm):
+    return {"frequency_hz": 3.6e9,
+            "panel": {"rows": 1, "cols": 2, "dx_m": 0.04, "dy_m": 0.04, "group_rows": 1,
+                      "group_cols": 1, "center": [0, 0, 0], "normal": [0, 0, 1.0]},
+            "state_table": [{"reflection": {"amp": 0.5, "phase_deg": 0.0},
+                             "refraction": {"amp": 0.5, "phase_deg": 0.0}}],
+            "bs": {"antennas": [[0, 0, 1.0]]}, "users": [[0.3, 0, -1.0]],
+            "power": {"bandwidth_hz": 1e6, "noise_figure_db": 0.0,
+                      "tx_dbm": tx_dbm}}
+
+
+def with_value(build, defaults, name, value):
+    return build(**{**defaults, name: value})
+
+
+def scene_with(name, value):
+    return Scene(panel=PanelSpec(**PANEL), **{**SCENE, name: value})
+
+
+GRID = dict(x0=-1.0, x1=1.0, y0=-1.0, y1=1.0, nx=2, ny=2)
+
+# Every scalar real input that errors.require_real checks, as a call of one value.
+REAL_SITES = {
+    **{f"Scene.{name}": partial(scene_with, name)
+       for name in ("frequency_hz", "bandwidth_hz", "tx_power_dbm", "noise_figure_db",
+                    "tx_gain_db", "rx_gain_db", "lna_gain_db", "element_factor_q")},
+    "friis_gain.wavelength": lambda v: friis_gain(1.0, v),
+    "noise_power.bandwidth_hz": lambda v: noise_power(v, 0.0),
+    "noise_power.noise_figure_db": lambda v: noise_power(1e6, v),
+    "LinkBudgetChain.tx_power_dbm": lambda v: LinkBudgetChain(v, ()),
+    "LinkBudgetChain.items": lambda v: LinkBudgetChain(0.0, (("a", 1.0), ("b", v))),
+    "FadingModel.k_factor_db": lambda v: FadingModel(v),
+    "zf_precoder.total_power_w": lambda v: zf_precoder(np.ones((1, 2)), v, 1.0),
+    "zf_precoder.noise_power_w": lambda v: zf_precoder(np.ones((1, 2)), 1.0, v),
+    **{f"CoverageGrid.{name}": partial(with_value, CoverageGrid, GRID, name)
+       for name in ("x0", "x1", "y0", "y1")},
+    "radiation_pattern.step_deg": lambda v: radiation_pattern(
+        *pattern_inputs(), Side.REFLECTION, step_deg=v),
+    "pattern_power.eval_radius": lambda v: pattern_power(
+        *pattern_inputs(), Side.REFLECTION, [0.0], eval_radius=v),
+    **{f"PanelSpec.{name}": partial(with_value, PanelSpec, PANEL, name) for name in ("dx", "dy")},
+    **{f"CoefficientPair.{name}": partial(with_value, CoefficientPair, PAIR, name)
+       for name in ("reflection_amp", "reflection_phase", "refraction_amp",
+                    "refraction_phase", "declared_reflection_power",
+                    "declared_refraction_power")},
+    "quantize_phase.target_phase": lambda v: quantize_phase(
+        StateTable(states=(CoefficientPair(**PAIR),)), Side.REFLECTION, v),
+    "scene_io._number": lambda v: parse_scene_dict(scene_document(v)),
+}
+
+
+NOT_REAL = ("1", True, np.bool_(True), None, 1j, math.nan)
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{value!r}")
+    for site in REAL_SITES for value in NOT_REAL
+    if not (value is None and "declared" in site)])  # None: no declared power
+def test_every_real_input_refuses_what_is_not_a_real_number(site, value):
+    """A string is not parsed, a bool is not read as 0 or 1, None and complex
+    numbers are refused, not passed to numpy, and NaN is no number."""
+    REAL_SITES[site](1.0)  # the baseline is accepted
+    with pytest.raises(ValidationError):
+        REAL_SITES[site](value)

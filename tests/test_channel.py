@@ -312,6 +312,15 @@ class TestHopGains:
         with pytest.raises(ValidationError, match="coincides with an element"):
             _hop_gains(points, layout, scene)
 
+    def test_user_on_a_bs_antenna_names_it(self):
+        """The direct path shares the hop's distance scan and its message."""
+        panel = tiny_panel(rows=2, cols=2)
+        scene = make_scene(panel, [[0, 0, 1.0], [0.5, 0.25, 1.0]], [[0.5, 0.25, 1.0]],
+                           direct_path=True)
+        with pytest.raises(ValidationError,
+                           match=r"^a terminal coincides with a BS antenna at \[0.5, 0.25, 1.0\]$"):
+            channel_geometry(scene, build_layout(panel))
+
     def test_friis_gain_keeps_its_own_check(self):
         with pytest.raises(ValidationError, match="requires positive distance"):
             friis_gain(np.array([1.0, 0.0, 2.0]), WAVELENGTH_3G6)
@@ -355,12 +364,15 @@ class TestSceneValidation:
                        [0, 0, -2.0])
 
     @pytest.mark.parametrize("points", [[[0, 0, 1.0], [0, 0]], "abc", [[1 + 2j, 0, 1.0]],
-                                        np.array([[0, 0, 1j]]), [[0, 0, None], [0]]])
+                                        np.array([[0, 0, 1j]]), [[0, 0, None], [0]],
+                                        [["0.6", "0.3", "0"]], [[0, 0, "1"]],
+                                        [[True, False, True]], np.ones((1, 3), dtype=bool)])
     @pytest.mark.parametrize("field, name", [("bs_antennas", "bs antennas"),
                                              ("users", "users")])
     def test_rejects_points_that_are_not_real_arrays(self, field, name, points):
-        """Ragged, non-numeric or complex terminals are a ValidationError
-        naming them, not numpy's ValueError or a dropped imaginary part."""
+        """Ragged, non-numeric, string, bool or complex terminals are a
+        ValidationError naming them, not numpy's ValueError, a parsed
+        string or a dropped imaginary part."""
         terminals = {"bs_antennas": [[0, 0, 1.0]], "users": [[0, 0, -1.0]], field: points}
         with pytest.raises(ValidationError,
                            match=f"^{name} must be a non-empty list of real"):

@@ -1,11 +1,15 @@
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from omnisim import ValidationError, parse_scene_dict, prototype_scene_path
 from omnisim.cli import main
@@ -136,16 +140,6 @@ class TestSimulate:
             paths.append(out_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_nan_k_factor_is_validation_error(self, capsys, tmp_path):
-        out_path = tmp_path / "report.json"
-        code, _, err = run_cli(capsys, "simulate",
-                               "--config", small_scene_file(tmp_path),
-                               "--optimizer", "statistical", "--samples", "4",
-                               "--k-factor-db", "nan", "--out", str(out_path))
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "validation"
-        assert not out_path.exists()
-
     @pytest.mark.parametrize("optimizer",
                              ["greedy", "exhaustive", "random", "statistical"])
     def test_negative_seed_is_validation_error(self, capsys, tmp_path, optimizer):
@@ -273,26 +267,86 @@ class TestCoverage:
         assert artifacts[0][1].startswith(b"P5\n9 5\n255\n")
         assert len(artifacts[0][1]) == len(b"P5\n9 5\n255\n") + 9 * 5
 
-
-class TestFieldFlags:
-    """The numeric flags of pattern and coverage reject NaN, +-inf,
-    out-of-range values and a malformed grid with exit 2, writing no
-    artifact."""
-
-    CASES = ([("pattern", f"{flag}={value}") for flag in ("--step-deg", "--radius-m")
-              for value in ("nan", "inf", "-inf", "0", "-1")]
-             + [("coverage", f"--grid={grid}") for grid in (
-                 "1,2,3", "nan,1,-1,1,3,3", "-1,inf,-1,1,3,3", "-1,1,-inf,1,3,3",
-                 "-1,1,-1,nan,3,3", "-1,1,-1,1,0,3", "-1,1,-1,1,3,0")])
-
-    @pytest.mark.parametrize("command,flag", CASES)
-    def test_invalid_value_exits_2_without_artifact(self, capsys, tmp_path, command, flag):
-        extra = ["--pgm", str(tmp_path / "map.pgm")] if command == "coverage" else []
-        code, _, err = run_cli(capsys, command, "--config", prototype_scene_path(), flag,
-                               "--out", str(tmp_path / "out.csv"), *extra)
+    def test_malformed_grid_exits_2_without_artifact(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "coverage", "--config", prototype_scene_path(),
+                               "--grid=1,2,3", "--out", str(tmp_path / "out.csv"),
+                               "--pgm", str(tmp_path / "map.pgm"))
         assert code == 2
         assert json.loads(err)["error"]["type"] == "validation"
         assert list(tmp_path.iterdir()) == []
+
+
+# The numeric flags of every subcommand, each with the probe values it takes;
+# a coverage grid field is a flag of its own here.
+PROBE_VALUES = ("nan", "inf", "-inf", "0", "-1")
+NUMERIC_FLAGS = {
+    "simulate": {"--seed": {"0"}, "--sweeps": set(), "--trials": set(), "--samples": set(),
+                 "--k-factor-db": {"inf", "-inf", "0", "-1"}},
+    "pattern": {"--step-deg": set(), "--radius-m": set()},
+    "coverage": {**dict.fromkeys(("x0", "x1", "y0", "y1"), {"0", "-1"}),
+                 "nx": set(), "ny": set()},
+    "linkbudget": dict.fromkeys(("--ios-gain-db", "--tx-ios-db", "--ios-rx-db"), {"0", "-1"}),
+}
+GRID_FIELDS = ("x0", "x1", "y0", "y1", "nx", "ny")
+
+
+@st.composite
+def numeric_flag_runs(draw):
+    """A subcommand and probe values for one or more of its numeric flags."""
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    values = draw(st.dictionaries(st.sampled_from(sorted(NUMERIC_FLAGS[command])),
+                                  st.sampled_from(PROBE_VALUES), min_size=1))
+    return command, values
+
+
+def with_each_value_alone(test):
+    """``test`` with one explicit example per (numeric flag, probe value)."""
+    for command, flags in NUMERIC_FLAGS.items():
+        for flag in flags:
+            for value in PROBE_VALUES:
+                test = example(run=(command, {flag: value}))(test)
+    return test
+
+
+class TestNumericFlags:
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        return small_scene_file(tmp_path_factory.mktemp("scene"))
+
+    @given(numeric_flag_runs())
+    @with_each_value_alone
+    def test_invalid_value_exits_2_without_artifact(self, scene, run):
+        """Every numeric flag, given NaN, +-inf, 0 or -1 alone or with others:
+        exit 2 and no artifact when any value is out of its flag's range (or
+        the grid's extents are reversed), otherwise exit 0 and an artifact."""
+        command, values = run
+        valid = all(value in NUMERIC_FLAGS[command][flag] for flag, value in values.items())
+        grid = dict(zip(GRID_FIELDS, ("-1", "1", "-1", "1", "3", "3")), **values)
+        if command == "coverage" and valid:
+            valid = (float(grid["x0"]) <= float(grid["x1"])
+                     and float(grid["y0"]) <= float(grid["y1"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            out_path = Path(tmp) / "out"
+            argv = {"simulate": ["--optimizer", "statistical", "--sweeps", "2",
+                                 "--trials", "4", "--samples", "4", "--out", str(out_path)],
+                    "pattern": ["--step-deg", "30", "--out", str(out_path)],
+                    "coverage": ["--grid=" + ",".join(grid[f] for f in GRID_FIELDS),
+                                 "--out", str(out_path), "--pgm", str(Path(tmp) / "map.pgm")],
+                    "linkbudget": ["--ios-gain-db", "0"]}[command]
+            # flag=value, so argparse does not read "-inf" as an option; the
+            # last value of a repeated flag wins
+            argv += [f"{flag}={value}" for flag, value in values.items() if flag.startswith("-")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", scene, *argv])
+            artifacts = sorted(path.name for path in Path(tmp).iterdir())
+        if valid:
+            assert code == 0, err.getvalue()
+            assert artifacts or out.getvalue()
+        else:
+            assert code == 2
+            assert json.loads(err.getvalue())["error"]["type"] == "validation"
+            assert artifacts == [] and out.getvalue() == ""
 
 
 class TestOracle:
@@ -367,6 +421,22 @@ class TestSceneErrors:
             message = str(info.value)
             assert message.startswith(f"S.{leaf_name(leaf)}: "), (value, message)
             assert message.count("S.") == 1, (value, message)
+
+    @pytest.mark.parametrize("key, value", [("tx_dbm", 1e4), ("noise_figure_db", 1e4),
+                                            ("noise_figure_db", -1e4)])
+    def test_power_beyond_the_float_range_is_refused(self, capsys, tmp_path, key, value):
+        """A power whose watts overflow to inf or underflow to 0 W is refused
+        up front, not an OverflowError or a run of degenerate rates of 0."""
+        power = {"tx_dbm": 20.0, "bandwidth_hz": 1e6, "noise_figure_db": 5.0, key: value}
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "simulate",
+                               "--config", small_scene_file(tmp_path, power=power),
+                               "--optimizer", "exhaustive", "--out", str(out_path))
+        assert code == 2
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "validation"
+        assert "_power_w must be a real number that is positive and finite" in payload["message"]
+        assert not out_path.exists()
 
     def test_unknown_flag_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--bogus", "1")
