@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -225,6 +226,38 @@ class _UnitProblem:
         return (np.array([math.fsum(rates) / len(rates) for rates in total.tolist()]),
                 degenerate.any(axis=1))
 
+    @cached_property
+    def block_depth(self) -> int:
+        """The largest L whose P^L candidates fit one ``PASS_ENTRIES`` pass:
+        their channels (group granularity) or group partials (element)."""
+        size = self.kernel.channel_size * (
+            1 if self.granularity is Granularity.GROUP else len(self.kernel.members))
+        depth = 0
+        while depth < self.num_units and self.num_states ** (depth + 1) * size <= PASS_ENTRIES:
+            depth += 1
+        return depth
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """Each unit's place value in a candidate's lexicographic index (unit
+        0 most significant); only for spaces that fit a block or the guard."""
+        return self.num_states ** np.arange(self.num_units - 1, -1, -1)
+
+    def score_block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`score` of the P^L candidates from lexicographic index
+        ``start``, a multiple of P^L: every state of the last L =
+        :attr:`block_depth` units under the prefix of ``start``.  At group
+        granularity their channels are expanded from the prefix's group sum
+        (``ChannelKernel.product_channels``); at element granularity the
+        indices are decoded and their partials gathered."""
+        depth, digits = self.block_depth, self.digits
+        if self.granularity is Granularity.GROUP:
+            prefix = (start // digits[:self.num_units - depth] % self.num_states)[:, None]
+            free = [slice(None)] * depth  # every state, as a view of the group's table
+            return self.score_channels(self.kernel.product_channels([*prefix, *free]))
+        candidates = np.arange(start, start + self.num_states ** depth)[:, None]
+        return self.score(self.partials(candidates // digits % self.num_states))
+
     def count(self, degenerate: np.ndarray) -> None:
         """Add the candidates with these degenerate flags to the evaluations."""
         self.evaluations += len(degenerate)
@@ -247,24 +280,35 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
     are scored as one batch against the current state: the first unit that
     improves moves, the rows after it are dropped uncounted, and the next
     window starts after it.  Scores do not depend on the batch, so this is
-    exactly the unit-by-unit search.  Every window holds the units whose
-    rows fit one ``PASS_ENTRIES`` pass, a row counted as the element
-    gather's m·K·Nt·R products at both granularities: under fading each row
-    costs R ZF solves, so wider windows of group rows measured no faster.
+    exactly the unit-by-unit search.
+
+    When the whole space fits one ``_UnitProblem.score_block``, it is scored
+    there once and a window's rows are looked up in that table; only the
+    rows the search reads are counted, so the counts are those of the
+    window path.  Otherwise every window holds the units whose rows fit one
+    ``PASS_ENTRIES`` pass, a row counted as the element gather's m·K·Nt·R
+    products at both granularities: under fading each row costs R ZF
+    solves, so wider windows of group rows measured no faster.
     """
     require_int("max_sweeps", max_sweeps, 1)
     states = np.zeros(problem.num_units, dtype=np.int64)
-    partials = problem.partials(states[None])  # (G, 1, R, K, Nt)
-    values, degenerate = problem.score(partials)
+    offsets = np.arange(problem.num_states - 1)  # one row per other state
+    width = len(offsets)
+    table = None
+    if problem.block_depth == problem.num_units:  # the whole space fits one pass
+        table, digits = problem.score_block(0), problem.digits
+        values, degenerate = table[0][:1], table[1][:1]  # candidate 0: all zeros
+        limit = problem.num_units
+    else:
+        partials = problem.partials(states[None])  # (G, 1, R, K, Nt)
+        values, degenerate = problem.score(partials)
+        limit = max(1, PASS_ENTRIES // (max(width, 1) * problem.kernel.members.shape[1]
+                                        * problem.kernel.channel_size))
+        columns = np.arange(min(limit, problem.num_units) * width)
     problem.count(degenerate)
     current = float(values[0])
     trace = [(0, current)]
-    offsets = np.arange(problem.num_states - 1)  # one row per other state
-    width = len(offsets)
-    limit = max(1, PASS_ENTRIES // (max(width, 1) * problem.kernel.members.shape[1]
-                                    * problem.kernel.channel_size))
     row_units = np.arange(problem.num_units).repeat(width)  # unit of each row
-    columns = np.arange(min(limit, problem.num_units) * width)
     for sweep in range(1, max_sweeps + 1):
         before = current
         start = 0
@@ -273,10 +317,15 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
         while width and start < problem.num_units:
             stop = min(start + limit, problem.num_units)
             rows = slice(start * width, stop * width)
-            groups, changed = problem.flips(states, row_units[rows], new_states[rows])
-            trial = np.repeat(partials, len(groups), axis=1)
-            trial[groups, columns[:len(groups)]] = changed
-            values, degenerate = problem.score(trial)
+            units, moved = row_units[rows], new_states[rows]
+            if table is None:
+                groups, changed = problem.flips(states, units, moved)
+                trial = np.repeat(partials, len(groups), axis=1)
+                trial[groups, columns[:len(groups)]] = changed
+                values, degenerate = problem.score(trial)
+            else:  # each row's lexicographic index in the table
+                index = states @ digits + (moved - states[units]) * digits[units]
+                values, degenerate = table[0][index], table[1][index]
             first = int((values > current).argmax())  # the first improving row, if any
             improving = values[first] > current
             decided = first // width + 1 if improving else stop - start
@@ -285,9 +334,10 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
             if improving:  # unit start - 1 takes its best state, the lowest if tied
                 unit_rows = slice((decided - 1) * width, decided * width)
                 row = unit_rows.start + int(np.argmax(values[unit_rows]))
-                states[start - 1] = new_states[rows.start + row]
+                states[start - 1] = moved[row]
                 current = float(values[row])
-                partials[groups[row]] = changed[row]
+                if table is None:
+                    partials[groups[row]] = changed[row]
         trace.append((sweep, current))
         improvement = (current - before) / max(abs(before), 1e-30)
         if improvement < CONVERGENCE_EPSILON:
@@ -309,12 +359,11 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     smallest configuration: batches run in lexicographic order (first unit
     most significant), and a later batch must beat the best strictly.
 
-    A batch holds every state of the last L units under one prefix of the
-    others, P^L candidates with the largest L whose channels (group
-    granularity) or group partials (element) fit in one ``PASS_ENTRIES``
-    pass.  At group granularity its channels are expanded from the prefix's
-    group sum (``ChannelKernel.product_channels``).
-    Refuses searches beyond 2^20 candidates."""
+    A batch is one ``_UnitProblem.score_block``: every state of the last L
+    units under one prefix of the others, P^L candidates with the largest L
+    whose channels (group granularity) or group partials (element) fit in
+    one ``PASS_ENTRIES`` pass.  Greedy search scores its whole space in one
+    such block when it fits.  Refuses searches beyond 2^20 candidates."""
     problem = _UnitProblem(scene, layout, table, granularity)
     num_states, num_units = problem.num_states, problem.num_units
     space = num_states ** num_units
@@ -323,29 +372,14 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
             f"{num_states}^{num_units} = {space} candidates "
             f"exceed the {EXHAUSTIVE_GUARD} guard"
         )
-    # Entries one candidate adds to a batch: its channel, or its group partials.
-    size = problem.kernel.channel_size * (
-        1 if granularity is Granularity.GROUP else len(problem.kernel.members))
-    depth = 0
-    while depth < num_units and num_states ** (depth + 1) * size <= PASS_ENTRIES:
-        depth += 1
-    leaf = num_states ** depth
-    digits = num_states ** np.arange(num_units - 1, -1, -1)
-    free = [slice(None)] * depth  # every state, as a view of the group's table
     best_index, best_value = 0, -math.inf
-    for start in range(0, space, leaf):
-        if granularity is Granularity.GROUP:
-            prefix = (start // digits[:num_units - depth] % num_states)[:, None]
-            values, degenerate = problem.score_channels(
-                problem.kernel.product_channels([*prefix, *free]))
-        else:
-            values, degenerate = problem.score(problem.partials(
-                np.arange(start, start + leaf)[:, None] // digits % num_states))
+    for start in range(0, space, num_states ** problem.block_depth):
+        values, degenerate = problem.score_block(start)
         problem.count(degenerate)
         best = int(np.argmax(values))
         if values[best] > best_value:
             best_index, best_value = start + best, float(values[best])
-    best_states = (best_index // digits % num_states).tolist()
+    best_states = (best_index // problem.digits % num_states).tolist()
     return problem.outcome(best_states, best_value, ((0, best_value),))
 
 

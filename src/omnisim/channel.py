@@ -40,12 +40,8 @@ MEASURED_IOS_RX_GAIN_DB = -43.53
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def dbm_to_watts(dbm: float) -> float:
     try:
-        return 10.0 ** ((dbm - 30.0) / 10.0)
+        return 10.0 ** (db / 10.0)
     except OverflowError:  # beyond the float range
         return math.inf
 
@@ -81,7 +77,10 @@ class Scene:
         # Watts once per scene, so no dBm value overflows or underflows later.
         noise_dbm = noise_power(self.bandwidth_hz, self.noise_figure_db)
         for name, dbm in (("tx_power_w", self.tx_power_dbm), ("noise_power_w", noise_dbm)):
-            object.__setattr__(self, name, require_real(name, dbm_to_watts(dbm), positive=True))
+            object.__setattr__(self, name, require_real(name, db_to_linear(dbm - 30.0), positive=True))
+        # The linear chain gain snr_at multiplies by, checked the same way.
+        require_real("tx_gain_db + rx_gain_db + lna_gain_db as a linear gain", db_to_linear(
+            self.tx_gain_db + self.rx_gain_db + self.lna_gain_db), positive=True)
         # Frozen copies, so the caller's arrays stay writable and a write to
         # them cannot reach a cached channel geometry.
         bs = as_points(self.bs_antennas, "bs antennas")
@@ -329,6 +328,8 @@ class FadingModel:
         # +inf (no fading) and -inf (Rayleigh) are valid
         object.__setattr__(self, "k_factor_db", require_real(
             "k_factor_db", self.k_factor_db, -math.inf, math.inf))
+        if not self.is_degenerate:  # a finite K must have a finite linear value
+            require_real("k_factor_db as a linear value", db_to_linear(self.k_factor_db), 0.0)
 
     @property
     def is_degenerate(self) -> bool:

@@ -34,9 +34,18 @@ def _real_array(value, message: str) -> np.ndarray:
     complex number or other object is read as a coordinate)."""
     with contextlib.suppress(TypeError, ValueError):  # numpy refuses ragged input
         array = np.asarray(value)
-        if array.dtype.kind in "iuf":
+        if array.dtype.kind in "iuf" and (isinstance(value, np.ndarray)
+                                          or not _holds_bool(value)):
             return np.array(array, dtype=float)
     raise ValidationError(message)
+
+
+def _holds_bool(value) -> bool:
+    """Whether list input nests a bool anywhere: numpy reads a bool beside
+    numbers as 0 or 1, so the array's dtype no longer shows it."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
 
 
 def as_vec3(value, name: str = "vector") -> Vec3:

@@ -358,6 +358,17 @@ class TestSceneValidation:
         with pytest.raises(ValidationError, match=field):
             make_scene(tiny_panel(), [0, 0, 1.0], [0, 0, -1.0], **{field: value})
 
+    @pytest.mark.parametrize("gains", [{"lna_gain_db": 1e4}, {"lna_gain_db": -1e4},
+                                       {"tx_gain_db": 2e3, "rx_gain_db": 2e3},
+                                       {"tx_gain_db": 1e308, "rx_gain_db": 1e308}])
+    def test_rejects_gains_beyond_the_float_range(self, gains):
+        """Finite gains whose linear sum overflows to inf or underflows to 0
+        are refused up front, as the watts are, not an OverflowError in
+        ``snr_at``."""
+        with pytest.raises(ValidationError, match="lna_gain_db as a linear gain must be "
+                                                  "a real number that is positive"):
+            make_scene(tiny_panel(), [0, 0, 1.0], [0, 0, -1.0], **gains)
+
     def test_rejects_straddling_bs_antennas(self):
         with pytest.raises(InvalidSceneError):
             make_scene(tiny_panel(), [[0, 0, 1.0], [0, 0, -1.0]],
@@ -366,7 +377,8 @@ class TestSceneValidation:
     @pytest.mark.parametrize("points", [[[0, 0, 1.0], [0, 0]], "abc", [[1 + 2j, 0, 1.0]],
                                         np.array([[0, 0, 1j]]), [[0, 0, None], [0]],
                                         [["0.6", "0.3", "0"]], [[0, 0, "1"]],
-                                        [[True, False, True]], np.ones((1, 3), dtype=bool)])
+                                        [[True, False, True]], np.ones((1, 3), dtype=bool),
+                                        [[True, 0, 1.0]], [[0, 0, 1.0], (0, np.True_, -1)]])
     @pytest.mark.parametrize("field, name", [("bs_antennas", "bs antennas"),
                                              ("users", "users")])
     def test_rejects_points_that_are_not_real_arrays(self, field, name, points):

@@ -179,6 +179,20 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out_path.read_text())["outcome"]["objective_bps_hz"] > 0
 
+    def test_k_factor_beyond_the_float_range_is_refused(self, capsys, tmp_path):
+        """A finite K whose linear value overflows is a validation error, not
+        an OverflowError from the fading draws."""
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "simulate",
+                               "--config", small_scene_file(tmp_path),
+                               "--optimizer", "statistical", "--samples", "4",
+                               "--k-factor-db", "4000", "--out", str(out_path))
+        assert code == 2
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "validation"
+        assert "k_factor_db as a linear value must be a real number" in payload["message"]
+        assert not out_path.exists()
+
     def test_degenerate_count_goes_to_stderr_only(self, capsys, tmp_path):
         """Two users at one point make every channel rank-deficient."""
         scene = small_scene_file(tmp_path, users=[[0.4, 0.2, 0.9], [0.4, 0.2, 0.9]])

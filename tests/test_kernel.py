@@ -148,6 +148,20 @@ def unit_config(layout, granularity, unit_states):
     return Configuration(states=tuple(unit_states))
 
 
+@pytest.fixture
+def zf_rows(monkeypatch):
+    """The row count of every ``_zero_forcing`` call the optimizers make."""
+    rows = []
+    zero_forcing = beamforming._zero_forcing
+
+    def counted(H, *powers):
+        rows.append(len(H))
+        return zero_forcing(H, *powers)
+
+    monkeypatch.setattr(beamforming, "_zero_forcing", counted)
+    return rows
+
+
 class TestBatchInvariance:
     @given(scenes(), granularities, st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
            st.booleans())
@@ -408,13 +422,26 @@ class TestSpeculativeGreedy:
              beamforming.PASS_ENTRIES, 0)
     @example(make_scene(7, 1, 1, 5, 1, 3, False), Granularity.ELEMENT, 3,
              beamforming.PASS_ENTRIES, 0)
+    @example(make_scene(7, 1, 1, 5, 1, 2, True), Granularity.ELEMENT, 0, 40, 0)
+    @example(make_scene(7, 1, 1, 5, 1, 3, False), Granularity.ELEMENT, 3, 40, 0)
+    # Whole spaces that fit one block, so the sweeps read one table: 3^5
+    # channels of 2 x 2 entries, 2^6 candidates of 3 group partials, and
+    # 2^4 channels of 3 faded realizations.
+    @example(make_scene(3, 2, 2, 5, 2, 3, True), Granularity.GROUP, 0,
+             beamforming.PASS_ENTRIES, 0)
+    @example(make_scene(4, 2, 1, 3, 2, 2, True), Granularity.ELEMENT, 0,
+             beamforming.PASS_ENTRIES, 0)
+    @example(make_scene(5, 2, 2, 4, 2, 2, True), Granularity.GROUP, 3,
+             beamforming.PASS_ENTRIES, 1)
     @settings(max_examples=60)
     def test_windows_equal_one_unit_at_a_time(self, world, granularity, num_samples,
                                               pass_entries, seed):
         """States, trace and both counts are bitwise those of the sequential
         reference, with fading (statistical, R samples) and without, and for
-        window caps from one unit up.  The examples have one-element groups
-        and K = 1, where every fading product is a single entry."""
+        window caps from one unit up.  The first four examples have
+        one-element groups and K = 1, where every fading product is a single
+        entry, scored from one table (the whole space fits one block) and in
+        windows (a cap of 40 entries)."""
         scene, layout, table = world
         geometry = channel_geometry(scene, layout)
         realizations = ()
@@ -447,10 +474,12 @@ class TestSpeculativeGreedy:
         assert out.trace == tuple(trace)
         assert 1 in states and 2 not in states
 
-    # 6 groups fit one window; 160 elements of 8-element groups need two.
+    # 3^8 candidates of 2 x 2 channel entries do not fit one block, so the
+    # 8 groups take the window path, in one window; 160 elements of
+    # 8-element groups need two.
     @pytest.mark.parametrize("granularity, groups, group_cols",
-                             [(Granularity.GROUP, 6, 2), (Granularity.ELEMENT, 20, 8)])
-    def test_every_window_holds_the_cap(self, monkeypatch, granularity, groups, group_cols):
+                             [(Granularity.GROUP, 8, 2), (Granularity.ELEMENT, 20, 8)])
+    def test_every_window_holds_the_cap(self, zf_rows, granularity, groups, group_cols):
         """With every state identical no move is strictly better, so the one
         sweep scores the units in windows of ``limit`` units from the first:
         one ZF call for the start, then one per window."""
@@ -458,18 +487,33 @@ class TestSpeculativeGreedy:
                                           group_cols=group_cols, num_states=3,
                                           direct_path=False)
         table = StateTable(states=(table.states[0],) * 3)
-        rows = []
-        zero_forcing = beamforming._zero_forcing
-
-        def counted(H, *powers):
-            rows.append(len(H))
-            return zero_forcing(H, *powers)
-
-        monkeypatch.setattr(beamforming, "_zero_forcing", counted)
         out = greedy_optimize(scene, layout, table, granularity)
         units = groups if granularity is Granularity.GROUP else groups * group_cols
         width = table.num_states - 1
         limit = beamforming.PASS_ENTRIES // (width * group_cols * 2 * 2)  # m * K * Nt
         assert len(out.trace) == 2
-        assert len(rows) == 1 + math.ceil(units / limit)
-        assert rows == [1] + [width * min(limit, units - s) for s in range(0, units, limit)]
+        assert len(zf_rows) == 1 + math.ceil(units / limit)
+        assert zf_rows == [1] + [width * min(limit, units - s) for s in range(0, units, limit)]
+
+    # 3^6 channels of 2 x 2 entries fit one block; so do 2^8 candidates of
+    # 4 group partials of 2 x 2 entries.
+    @pytest.mark.parametrize("granularity, groups, num_states",
+                             [(Granularity.GROUP, 6, 3), (Granularity.ELEMENT, 4, 2)])
+    def test_a_space_that_fits_is_scored_once(self, zf_rows, granularity, groups,
+                                              num_states):
+        """The sweeps read one ZF call of all P^units candidates, and the
+        outcome and both counts are those of the unit-at-a-time search: only
+        the rows a sweep reads are counted."""
+        scene, layout, table = make_scene(seed=5, nt=2, k_users=2, groups=groups,
+                                          group_cols=2, num_states=num_states,
+                                          direct_path=True)
+        out = greedy_optimize(scene, layout, table, granularity)
+        units = groups if granularity is Granularity.GROUP else groups * 2
+        assert zf_rows == [num_states ** units]
+        states, trace, evaluations, degenerate = sequential_greedy(
+            _UnitProblem(scene, layout, table, granularity))
+        assert len(trace) > 2  # some unit moved
+        assert out.config == unit_config(layout, granularity, states)
+        assert out.trace == tuple(trace)
+        assert (out.evaluations, out.degenerate_evaluations) == (evaluations, degenerate)
+        assert out.evaluations == 1 + (len(out.trace) - 1) * units * (num_states - 1)

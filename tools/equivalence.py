@@ -15,8 +15,9 @@ and degenerate count of these searches on the bundled prototype:
 
 and, on the 240 ``oracle`` benchmark scenes of seeds 1-4, the exhaustive
 and greedy group outcomes, the relaxed bound and ``sum_rate`` of both chosen
-configurations.  Run it at two commits: equal hashes mean every one of these
-outcomes kept its bits.
+configurations, plus, on the 60 scenes of seed 1, statistical search at group
+granularity with 3 samples.  Run it at two commits: equal hashes mean every
+one of these outcomes kept its bits.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ SEED = 7           # random and statistical searches
 K_FACTOR_DB = 10.0  # as the CLI default
 ORACLE_SEEDS = (1, 2, 3, 4)
 ORACLE_SCENES = 60  # per seed, as one benchmark round
+ORACLE_FADING_SAMPLES = 3  # statistical search on the scenes of the first seed
 
 
 def outcome_text(outcome) -> str:
@@ -78,6 +80,12 @@ def oracle_lines():
                      om.sum_rate(scene, layout, table, greedy.config))
             yield (f"oracle {seed} {i} {outcome_text(best)} {outcome_text(greedy)} "
                    f"{bound!r} {rates!r}")
+            if seed == ORACLE_SEEDS[0]:
+                fading = om.statistical_optimize(
+                    scene, layout, table, om.FadingModel(k_factor_db=K_FACTOR_DB),
+                    num_samples=ORACLE_FADING_SAMPLES, seed=SEED,
+                    granularity=om.Granularity.GROUP)
+                yield f"oracle statistical {seed} {i} {outcome_text(fading)}"
 
 
 def main() -> None:
