@@ -23,6 +23,7 @@ from .geometry import ElementLayout, Side, as_vec3
 # Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
 # real, 320 kB complex at M = 640) stay in cache and the allocator reuses them.
 CHUNK_POINTS = 32
+MIN_STEP_DEG = 180.0 / 2 ** 20  # at most 2^20 probes per side, as the exhaustive guard
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +87,8 @@ class CoverageMap:
 
 def _pattern_angles(step_deg: float) -> np.ndarray:
     """Symmetric grid k*step strictly inside (-90, 90); a finite step >
-    range gives the single broadside sample."""
-    step_deg = require_real("step_deg", step_deg, positive=True)
+    range gives the single broadside sample; a step below MIN_STEP_DEG is refused."""
+    step_deg = require_real("step_deg", step_deg, MIN_STEP_DEG)
     kmax = int(math.floor((90.0 - 1e-9) / step_deg))
     return np.arange(-kmax, kmax + 1) * step_deg
 

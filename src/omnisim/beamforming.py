@@ -417,10 +417,10 @@ def relaxed_upper_bound(scene: Scene, layout: ElementLayout,
     # index 0 reflection, 1 refraction, matching user_side_index
     amax = np.array([float(np.max(table.amplitudes(Side.REFLECTION))),
                      float(np.max(table.amplitudes(Side.REFRACTION)))])
-    g1 = np.abs(geometry.bs_to_element)      # (Nt, M)
-    g2 = np.abs(geometry.element_to_user)    # (K, M)
+    g1 = np.abs(geometry.bs_to_element.T)    # (M, Nt)
+    g2 = np.abs(geometry.element_to_user.T)  # (M, K)
     per_user_amax = amax[geometry.user_side_index]  # (K,)
-    bound_entries = per_user_amax[:, None] * (g2 @ g1.T)  # (K, Nt)
+    bound_entries = per_user_amax[:, None] * ordered_sum(g2[:, :, None] * g1[:, None])  # (K, Nt)
     if geometry.direct is not None:
         bound_entries = bound_entries + np.abs(geometry.direct)
     norms_sq = np.sum(bound_entries ** 2, axis=1)

@@ -29,9 +29,10 @@ import numpy as np
 
 from .elements import Configuration, StateTable
 from .errors import InvalidSceneError, ValidationError, require_int, require_real
-from .geometry import ElementLayout, PanelSpec, as_points
+from .geometry import ElementLayout, PanelSpec, as_points, dot3
 
 SPEED_OF_LIGHT = 299792458.0
+FAR_M = 1e150  # metres; with every coordinate within it, no squared distance overflows
 
 # Measured channel gains of the bundled prototype deployment, used as the
 # default Tx->panel / panel->Rx items of the CLI link budget.
@@ -190,12 +191,21 @@ def prototype_chain(scene: Scene, ios_gain_db: float,
     )
 
 
+def _require_near(points: np.ndarray, what: str) -> None:
+    """ValidationError naming the first (N, 3) point beyond ``FAR_M`` on an axis."""
+    if np.maximum.reduce(np.abs(points), axis=None, initial=0.0) > FAR_M:
+        far = points[(np.abs(points) > FAR_M).any(axis=1)][0].tolist()
+        raise ValidationError(f"{what} at {far} has a coordinate beyond {FAR_M:g} m")
+
+
 def _free_space(points: np.ndarray, sources: np.ndarray, source: str, scene: Scene,
                 q: float = 0.0) -> np.ndarray:
     """Free-space gains between each point (rows) and each ``source`` (cols),
     times the cos^q factor of the panel normal toward the point."""
-    # Per axis, without a (P, S, 3) temporary: |(dx*nx + dy*ny) + dz*nz| and
-    # the squared distance (dx*dx + dy*dy) + dz*dz, in place.
+    _require_near(points, "a point")
+    _require_near(sources, source)
+    # geometry.dot3's order, per axis without a (P, S, 3) temporary and in place:
+    # |(dx*nx + dy*ny) + dz*nz| and the squared distance (dx*dx + dy*dy) + dz*dz.
     dist, dy, dz = (np.subtract.outer(p, e) for p, e in zip(points.T, sources.T))
     if q > 0:
         nx, ny, nz = scene.panel.normal
@@ -299,14 +309,14 @@ def _build_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
     if scene.plane_wave_incidence:
         # Unit-amplitude plane wave per antenna, travelling antenna -> panel
         # centre; phase referenced to the panel centre.
+        # No antenna is at the centre: Scene keeps them off the panel plane.
+        _require_near(scene.bs_antennas, "a BS antenna")
+        _require_near(layout.positions, "an element")
         k = 2.0 * math.pi / scene.wavelength
-        directions = scene.panel.center[None, :] - scene.bs_antennas
-        norms = np.linalg.norm(directions, axis=1, keepdims=True)
-        if np.any(norms <= 0):
-            raise ValidationError("BS antenna coincides with the panel center")
-        directions = directions / norms
-        rel = layout.positions - scene.panel.center[None, :]
-        bs_to_element = np.exp(-1j * k * (directions @ rel.T))
+        directions = scene.panel.center - scene.bs_antennas
+        directions /= np.sqrt(dot3(directions, directions))[:, None]
+        rel = layout.positions - scene.panel.center
+        bs_to_element = np.exp(-1j * k * dot3(directions[:, None], rel[None]))
     else:
         bs_to_element = _hop_gains(scene.bs_antennas, layout, scene)
     sides = scene.point_sides(scene.users)

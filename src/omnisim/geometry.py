@@ -72,14 +72,10 @@ def as_points(value, name: str) -> np.ndarray:
     return points
 
 
-def unit(v) -> Vec3:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < UNIT_EPS:
-        raise ValidationError("cannot normalize a near-zero vector")
-    out = v / n
-    out.setflags(write=False)
-    return out
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a0*b0 + a1*b1) + a2*b2`` over the last axis of (..., 3) arrays: the
+    one 3-vector dot and norm, in an order no BLAS kernel chooses."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
 
 
 class Side(Enum):
@@ -108,7 +104,7 @@ class PanelSpec:
         object.__setattr__(self, "center", as_vec3(self.center, "panel center"))
         normal = as_vec3(self.normal, "panel normal")
         with np.errstate(over="ignore"):  # a huge component reads |n| = inf
-            norm = np.linalg.norm(normal)
+            norm = np.sqrt(dot3(normal, normal))
         if abs(norm - 1.0) > UNIT_EPS:
             raise ValidationError(
                 f"panel normal must be unit length within {UNIT_EPS}, "
@@ -117,14 +113,10 @@ class PanelSpec:
         object.__setattr__(self, "normal", normal)
         for name in ("rows", "cols", "group_rows", "group_cols"):
             object.__setattr__(self, name, require_int(f"panel {name}", getattr(self, name), 1))
-        if self.rows % self.group_rows != 0:
-            raise ValidationError(
-                f"rows ({self.rows}) not divisible by group_rows ({self.group_rows})"
-            )
-        if self.cols % self.group_cols != 0:
-            raise ValidationError(
-                f"cols ({self.cols}) not divisible by group_cols ({self.group_cols})"
-            )
+        for count, size in (("rows", "group_rows"), ("cols", "group_cols")):
+            if getattr(self, count) % getattr(self, size):
+                raise ValidationError(f"{count} ({getattr(self, count)}) not divisible by "
+                                      f"{size} ({getattr(self, size)})")
         for name in ("dx", "dy"):
             object.__setattr__(self, name,
                                require_real(f"panel {name}", getattr(self, name), positive=True))
@@ -142,18 +134,22 @@ class PanelSpec:
         """In-plane unit axes (u, v); see module docstring for the convention."""
         n = self.normal
         for hint in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-            tangential = hint - np.dot(hint, n) * n
-            if np.linalg.norm(tangential) > 1e-6:
-                u = unit(tangential)
+            u = hint - dot3(hint, n) * n
+            length = np.sqrt(dot3(u, u))
+            if length > 1e-6:
                 break
-        v = unit(np.cross(n, u))
+        u /= length
+        v = np.cross(n, u)
+        v /= np.sqrt(dot3(v, v))
+        for axis in (u, v):
+            axis.setflags(write=False)
         return u, v
 
     def plane_side(self, points) -> np.ndarray:
         """Side of the panel plane for each point of a (..., 3) array: +1
         along the normal, -1 against it, 0 within PLANE_EPS of the plane or
         NaN."""
-        d = (np.asarray(points, dtype=float) - self.center) @ self.normal
+        d = dot3(np.asarray(points, dtype=float) - self.center, self.normal)
         return (d > PLANE_EPS).astype(np.int8) - (d < -PLANE_EPS)
 
 
@@ -212,20 +208,12 @@ def build_layout(spec: PanelSpec) -> ElementLayout:
     ``group_rows x group_cols`` blocks, numbered row-major over the blocks.
     """
     u, v = spec.basis
-    cc = np.arange(spec.cols) - (spec.cols - 1) / 2.0
-    rr = np.arange(spec.rows) - (spec.rows - 1) / 2.0
-    col_idx, row_idx = np.meshgrid(np.arange(spec.cols), np.arange(spec.rows))
-    offsets_u = (cc[None, :] * spec.dx).repeat(spec.rows, axis=0)
-    offsets_v = (rr[:, None] * spec.dy).repeat(spec.cols, axis=1)
-    positions = (
-        spec.center[None, None, :]
-        + offsets_u[:, :, None] * u[None, None, :]
-        + offsets_v[:, :, None] * v[None, None, :]
-    ).reshape(-1, 3)
-    groups_per_band = spec.cols // spec.group_cols
-    group_of = (
-        (row_idx // spec.group_rows) * groups_per_band + (col_idx // spec.group_cols)
-    ).reshape(-1).astype(np.int64)
+    cols, rows = np.arange(spec.cols), np.arange(spec.rows)[:, None]
+    offsets_u = ((cols - (spec.cols - 1) / 2.0) * spec.dx)[..., None]
+    offsets_v = ((rows - (spec.rows - 1) / 2.0) * spec.dy)[..., None]
+    positions = (spec.center + offsets_u * u + offsets_v * v).reshape(-1, 3)
+    group_of = ((rows // spec.group_rows) * (spec.cols // spec.group_cols)
+                + cols // spec.group_cols).reshape(-1).astype(np.int64)
     return ElementLayout(positions=positions, group_of=group_of, u=u, v=v)
 
 

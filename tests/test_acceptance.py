@@ -20,6 +20,7 @@ from omnisim import (CoefficientPair, Configuration, CoverageGrid, Granularity,
                      zf_precoder)
 from omnisim.channel import SPEED_OF_LIGHT
 from omnisim.cli import main as cli_main
+from omnisim.geometry import dot3
 from omnisim.scene_io import parse_scene_dict
 
 
@@ -123,7 +124,7 @@ def _oracle_scene(seed: int):
         if side_sign is None:
             side_sign = gen.choice([-1.0, 1.0])
         v[2] *= side_sign
-        v /= np.linalg.norm(v)
+        v /= np.sqrt(dot3(v, v))
         return v * gen.uniform(1.0, 3.0)
 
     bs = np.array([place(1.0) for _ in range(nt)])

@@ -9,7 +9,7 @@ from omnisim import (CoefficientPair, Configuration, CoverageGrid, PanelSpec,
                      ValidationError, assemble_channel, build_layout,
                      channel_geometry, coverage_map, quantize_phase,
                      radiation_pattern, snr_at)
-from omnisim.analysis import _pattern_angles, pattern_power
+from omnisim.analysis import MIN_STEP_DEG, _pattern_angles, pattern_power
 from omnisim.scene_io import parse_scene_dict
 
 
@@ -48,6 +48,15 @@ class TestPatternAngles:
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValidationError):
             _pattern_angles(0.0)
+
+    @pytest.mark.parametrize("step", [1e-12, 1e-300, MIN_STEP_DEG * (1 - 1e-12)])
+    def test_rejects_a_step_beyond_2_to_the_20_probes(self, step):
+        with pytest.raises(ValidationError, match="step_deg must be a real number that is at least"):
+            _pattern_angles(step)
+
+    @pytest.mark.parametrize("step, probes", [(1.0, 179), (0.1, 1799), (MIN_STEP_DEG, 2 ** 20 - 1)])
+    def test_the_smallest_step_keeps_to_2_to_the_20_probes(self, step, probes):
+        assert len(_pattern_angles(step)) == probes
 
 
 class TestRadiationPattern:

@@ -69,6 +69,55 @@ def test_real_checks_have_one_owner():
     assert not offenders, f"hand-written real-number checks: {offenders}"
 
 
+# BLAS and LAPACK calls, whose summation order the OpenBLAS kernel chosen at
+# run time decides; every other sum goes through ``geometry.dot3`` or
+# ``channel.ordered_sum``.
+BLAS_CALLS = ("linalg.norm", "dot", "inner", "vdot", "einsum", "matmul")
+# (module, function) -> the one expression allowed there, or None for any.
+BLAS_ALLOWED = {
+    ("beamforming.py", "_zero_forcing"): None,   # LAPACK ZF for K >= 3
+    ("beamforming.py", "_gram_condition"): None,
+    ("beamforming.py", "zf_precoder"): None,
+    ("analysis.py", "_field"): None,             # the field's chunk matmul
+    ("beamforming.py", "_greedy_sweeps"): "states @ digits",  # integers
+}
+
+
+def dotted(node) -> str:
+    """``a.b.c`` of a chain of attributes on a name, else ''."""
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def blas_uses(tree, function=None):
+    """(function, node) of every BLAS call or ``@`` in ``tree``, with the
+    outermost function it sits in."""
+    for child in ast.iter_child_nodes(tree):
+        inner = function
+        if function is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        if ((isinstance(child, ast.Call)
+             and any(dotted(child.func) == f"np.{name}" for name in BLAS_CALLS))
+                or (isinstance(child, (ast.BinOp, ast.AugAssign))
+                    and isinstance(child.op, ast.MatMult))):
+            yield function, child
+        yield from blas_uses(child, inner)
+
+
+def test_summation_order_has_two_owners():
+    """No BLAS dot, norm, matmul or ``@`` outside the named exceptions:
+    3-vectors go through ``geometry.dot3``, other sums ``ordered_sum``."""
+    offenders = []
+    for name, tree in source_trees():
+        for function, node in blas_uses(tree):
+            allowed = BLAS_ALLOWED.get((name, function), "")
+            if allowed is not None and ast.unparse(node) != allowed:
+                offenders.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert not offenders, f"BLAS outside the named exceptions: {offenders}"
+
+
 PANEL = dict(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1, cols=2, dx=0.04, dy=0.04,
              group_rows=1, group_cols=1)
 SCENE = dict(frequency_hz=3.6e9, bs_antennas=[[0, 0, 1.0]], users=[[0.3, 0, -1.0]],

@@ -11,6 +11,7 @@ from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
                      greedy_optimize, random_baseline, relaxed_upper_bound,
                      statistical_optimize, sum_rate, zf_precoder)
 from omnisim.beamforming import CONDITION_LIMIT, _zero_forcing
+from omnisim.geometry import dot3
 
 
 # zf_precoder computes the condition number only for this message.
@@ -36,7 +37,7 @@ def small_scene(units=8, k_users=2, nt=2, seed=0, **kw):
     def place(side_sign):
         direction = gen.uniform([-0.7, -0.7, 0.25], [0.7, 0.7, 1.0])
         direction[2] *= side_sign
-        direction /= np.linalg.norm(direction)
+        direction /= np.sqrt(dot3(direction, direction))
         return direction * gen.uniform(1.0, 3.0)
     bs = np.array([place(1.0) for _ in range(nt)])
     users = np.array([place(gen.choice([-1.0, 1.0])) for _ in range(k_users)])

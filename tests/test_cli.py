@@ -259,6 +259,28 @@ class TestPattern:
         assert rows and all(row.endswith(",reflection") for row in rows)
 
 
+
+class TestFarPoints:
+    @pytest.mark.parametrize("argv, user", [
+        (["simulate", "--optimizer", "greedy"], [-0.3, 0.1, 1e200]),
+        (["pattern", "--radius-m", "1e200"], None)], ids=["user", "pattern radius"])
+    def test_far_point_exits_2_without_artifact(self, capsys, tmp_path, argv, user):
+        """A point whose squared distance would overflow is refused by name,
+        not scored as a run of degenerate rates or a pattern of -inf dB."""
+        scene = small_scene_file(tmp_path, **({"users": [[0.4, 0.2, -0.9], user]}
+                                              if user else {}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run_cli(capsys, argv[0], "--config", scene, *argv[1:],
+                                 "--out", str(out_dir / "artifact"))
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "validation"
+        assert "has a coordinate beyond 1e+150 m" in payload["message"]
+        assert user is None or str(user) in payload["message"]
+        assert list(out_dir.iterdir()) == []
+
+
 class TestCoverage:
     def test_csv_pgm_and_determinism(self, capsys, tmp_path):
         artifacts = []
@@ -293,6 +315,8 @@ class TestCoverage:
 # The numeric flags of every subcommand, each with the probe values it takes;
 # a coverage grid field is a flag of its own here.
 PROBE_VALUES = ("nan", "inf", "-inf", "0", "-1")
+# Probes of one flag only: pattern steps that would ask for more than 2^20 probes.
+FLAG_PROBES = {"--step-deg": ("1e-12", "1e-300")}
 NUMERIC_FLAGS = {
     "simulate": {"--seed": {"0"}, "--sweeps": set(), "--trials": set(), "--samples": set(),
                  "--k-factor-db": {"inf", "-inf", "0", "-1"}},
@@ -304,20 +328,23 @@ NUMERIC_FLAGS = {
 GRID_FIELDS = ("x0", "x1", "y0", "y1", "nx", "ny")
 
 
+def probes(flag: str) -> tuple[str, ...]:
+    return PROBE_VALUES + FLAG_PROBES.get(flag, ())
+
+
 @st.composite
 def numeric_flag_runs(draw):
     """A subcommand and probe values for one or more of its numeric flags."""
     command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
-    values = draw(st.dictionaries(st.sampled_from(sorted(NUMERIC_FLAGS[command])),
-                                  st.sampled_from(PROBE_VALUES), min_size=1))
-    return command, values
+    flags = draw(st.sets(st.sampled_from(sorted(NUMERIC_FLAGS[command])), min_size=1))
+    return command, {flag: draw(st.sampled_from(probes(flag))) for flag in sorted(flags)}
 
 
 def with_each_value_alone(test):
     """``test`` with one explicit example per (numeric flag, probe value)."""
     for command, flags in NUMERIC_FLAGS.items():
         for flag in flags:
-            for value in PROBE_VALUES:
+            for value in probes(flag):
                 test = example(run=(command, {flag: value}))(test)
     return test
 
@@ -330,7 +357,8 @@ class TestNumericFlags:
     @given(numeric_flag_runs())
     @with_each_value_alone
     def test_invalid_value_exits_2_without_artifact(self, scene, run):
-        """Every numeric flag, given NaN, +-inf, 0 or -1 alone or with others:
+        """Every numeric flag, given NaN, +-inf, 0 or -1 (and the pattern step
+        1e-12 or 1e-300) alone or with others:
         exit 2 and no artifact when any value is out of its flag's range (or
         the grid's extents are reversed), otherwise exit 0 and an artifact."""
         command, values = run

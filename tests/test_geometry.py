@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from omnisim import (InvalidSceneError, PanelSpec, Side, SideUndefinedError,
                      ValidationError, build_layout, side_of)
+from omnisim.geometry import dot3
 
 UNIT_Z = np.array([0.0, 0.0, 1.0])
 
@@ -17,7 +18,7 @@ def square_panel(rows=2, cols=2, dx=1.0, dy=1.0, **kw):
 
 def unit_vector(seed):
     v = np.random.default_rng(seed).standard_normal(3)
-    return v / np.linalg.norm(v)
+    return v / np.sqrt(dot3(v, v))
 
 
 class TestBuildLayout:
@@ -89,6 +90,20 @@ class TestBuildLayout:
     def test_rejects_non_positive_pitch(self):
         with pytest.raises(ValidationError):
             square_panel(dx=0.0)
+
+
+# Within 1e150 no product of two coordinates overflows.
+COORDINATES = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@given(st.lists(st.tuples(*[COORDINATES] * 3), min_size=1, max_size=4),
+       st.tuples(*[COORDINATES] * 3))
+def test_dot3_is_the_left_fold(rows, b):
+    """``dot3`` of (n, 3) rows with a broadcast 3-vector is, per row and to
+    the bit, ``(a0*b0 + a1*b1) + a2*b2`` in Python floats."""
+    got = dot3(np.array(rows), np.array(b))
+    want = np.array([(a[0] * b[0] + a[1] * b[1]) + a[2] * b[2] for a in rows])
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSideOf:

@@ -25,6 +25,7 @@ from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
 from omnisim import beamforming
 from omnisim.beamforming import _UnitProblem
 from omnisim.channel import ChannelKernel, draw_realizations, ordered_sum
+from omnisim.geometry import dot3
 
 
 def make_scene(seed, nt, k_users, groups, group_cols, num_states, direct_path):
@@ -38,7 +39,7 @@ def make_scene(seed, nt, k_users, groups, group_cols, num_states, direct_path):
     def place(side_sign):
         direction = gen.uniform([-0.7, -0.7, 0.25], [0.7, 0.7, 1.0])
         direction[2] *= side_sign
-        return direction / np.linalg.norm(direction) * gen.uniform(1.0, 3.0)
+        return direction / np.sqrt(dot3(direction, direction)) * gen.uniform(1.0, 3.0)
 
     bs = np.array([place(1.0) for _ in range(nt)])
     users = np.array([place(gen.choice([-1.0, 1.0])) for _ in range(k_users)])

@@ -1,11 +1,13 @@
-"""One SHA-256 over the search outcomes a bitwise-neutral change must keep.
+"""SHA-256 digests of the search outcomes a bitwise-neutral change must keep.
 
 Usage (no options; the checkout is the one this file sits in):
 
     python3 tools/equivalence.py
 
-It hashes, as ``repr`` text, the config, objective, trace, evaluation count
-and degenerate count of these searches on the bundled prototype:
+It prints one digest per part, as ``part: digest`` lines, then the total
+digest over every outcome on a line of its own.  It hashes, as ``repr``
+text, the config, objective, trace, evaluation count and degenerate count
+of these searches on the bundled prototype (part "prototype searches"):
 
 - greedy at group and at element granularity;
 - exhaustive at group granularity;
@@ -14,10 +16,11 @@ and degenerate count of these searches on the bundled prototype:
 - statistical at element granularity, 5 samples, 2 sweeps;
 
 and, on the 240 ``oracle`` benchmark scenes of seeds 1-4, the exhaustive
-and greedy group outcomes, the relaxed bound and ``sum_rate`` of both chosen
-configurations, plus, on the 60 scenes of seed 1, statistical search at group
-granularity with 3 samples.  Run it at two commits: equal hashes mean every
-one of these outcomes kept its bits.
+and greedy group outcomes with the ``sum_rate`` of both chosen configurations
+("oracle searches") and the relaxed bound ("oracle bounds"), plus, on the 60
+scenes of seed 1, statistical search at group granularity with 3 samples
+("oracle statistical").  Run it at two commits: equal digests mean every
+outcome of that part kept its bits.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ K_FACTOR_DB = 10.0  # as the CLI default
 ORACLE_SEEDS = (1, 2, 3, 4)
 ORACLE_SCENES = 60  # per seed, as one benchmark round
 ORACLE_FADING_SAMPLES = 3  # statistical search on the scenes of the first seed
+PARTS = ("prototype searches", "oracle searches", "oracle bounds", "oracle statistical")
 
 
 def outcome_text(outcome) -> str:
@@ -64,7 +68,8 @@ def prototype_lines():
             max_sweeps=2),
     }
     for name, search in searches.items():
-        yield f"{name} {outcome_text(search())}"
+        line = f"{name} {outcome_text(search())}"
+        yield line, {"prototype searches": line}
 
 
 def oracle_lines():
@@ -78,21 +83,32 @@ def oracle_lines():
             bound = om.relaxed_upper_bound(scene, layout, table)
             rates = (om.sum_rate(scene, layout, table, best.config),
                      om.sum_rate(scene, layout, table, greedy.config))
-            yield (f"oracle {seed} {i} {outcome_text(best)} {outcome_text(greedy)} "
-                   f"{bound!r} {rates!r}")
+            scene_id = f"oracle {seed} {i}"
+            outcomes = f"{outcome_text(best)} {outcome_text(greedy)}"
+            yield (f"{scene_id} {outcomes} {bound!r} {rates!r}",
+                   {"oracle searches": f"{scene_id} {outcomes} {rates!r}",
+                    "oracle bounds": f"{scene_id} {bound!r}"})
             if seed == ORACLE_SEEDS[0]:
                 fading = om.statistical_optimize(
                     scene, layout, table, om.FadingModel(k_factor_db=K_FACTOR_DB),
                     num_samples=ORACLE_FADING_SAMPLES, seed=SEED,
                     granularity=om.Granularity.GROUP)
-                yield f"oracle statistical {seed} {i} {outcome_text(fading)}"
+                line = f"oracle statistical {seed} {i} {outcome_text(fading)}"
+                yield line, {"oracle statistical": line}
 
 
 def main() -> None:
-    digest = hashlib.sha256()
-    for line in (*prototype_lines(), *oracle_lines()):
-        digest.update(line.encode() + b"\n")
-    print(digest.hexdigest())
+    """The total hashes every line as it always has, so its digest stays
+    comparable across versions of this script; each part hashes its own."""
+    total = hashlib.sha256()
+    parts = {name: hashlib.sha256() for name in PARTS}
+    for line, part_lines in (*prototype_lines(), *oracle_lines()):
+        total.update(line.encode() + b"\n")
+        for name, part_line in part_lines.items():
+            parts[name].update(part_line.encode() + b"\n")
+    for name, digest in parts.items():
+        print(f"{name}: {digest.hexdigest()}")
+    print(total.hexdigest())
 
 
 if __name__ == "__main__":
