@@ -9,16 +9,14 @@ u axis (local y).  All three compute the field through one path, ``_field``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (Scene, _direct_gains, _hop_gains, channel_geometry,
-                      db_to_linear)
+from .channel import Scene, _direct_gains, _hop_gains, channel_geometry
 from .elements import Configuration, StateTable
 from .errors import SideUndefinedError, ValidationError, require_int, require_real
-from .geometry import ElementLayout, Side, as_vec3
+from .geometry import PLANE_EPS, ElementLayout, Side, as_vec3, require_near
 
 # Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
 # real, 320 kB complex at M = 640) stay in cache and the allocator reuses them.
@@ -107,6 +105,7 @@ def _field(scene: Scene, layout: ElementLayout, table: StateTable,
     """
     config.validate_against(table, layout)
     bs_to_element = channel_geometry(scene, layout).bs_to_element
+    require_near(points.reshape(-1, 3), "field points")
     sides = scene.point_sides(points)
     live = sides != 0
     points, live_sides = points[live], sides[live]
@@ -121,6 +120,7 @@ def _field(scene: Scene, layout: ElementLayout, table: StateTable,
 
     starts = range(0, len(points), CHUNK_POINTS)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging and queue
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
     else:
@@ -139,18 +139,18 @@ def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
 
     Returns (power, valid): power is |sum_n h_n|^2, h being the scattered
     channel from BS antenna n to the probe (element factor included), and
-    valid flags probes that fell outside the panel plane.
+    valid flags probes that fell outside the panel plane.  The radius lies in
+    [2 PLANE_EPS, 2^32 wavelengths]: off the plane, with path differences above rounding.
     """
-    eval_radius = require_real("eval_radius", eval_radius, positive=True)
+    eval_radius = require_real("eval_radius", eval_radius, 2 * PLANE_EPS, 2.0 ** 32 * scene.wavelength)
     if cut not in ("azimuth", "elevation"):
         raise ValidationError(f"unknown cut {cut!r}; expected azimuth or elevation")
     theta = np.deg2rad(np.asarray(angles_deg, dtype=float))
     if not np.all(np.isfinite(theta)):
         raise ValidationError("angles_deg must be finite")
     axis = layout.u if cut == "azimuth" else layout.v
-    normal_out = scene.panel.normal * scene.bs_side_sign
-    if side is Side.REFRACTION:
-        normal_out = -normal_out
+    normal_out = scene.panel.normal * (scene.bs_side_sign if side is Side.REFLECTION
+                                       else -scene.bs_side_sign)
     probes = (scene.panel.center[None, :]
               + eval_radius * (np.sin(theta)[:, None] * axis[None, :]
                                + np.cos(theta)[:, None] * normal_out[None, :]))
@@ -206,8 +206,6 @@ def snr_at(scene: Scene, layout: ElementLayout, table: StateTable,
     if scene.point_sides(points)[0] == 0:
         raise SideUndefinedError("SNR undefined for a point in the panel plane")
     _, h = _field(scene, layout, table, config, points)
-    chain_gain = db_to_linear(scene.tx_gain_db + scene.rx_gain_db
-                              + scene.lna_gain_db)
-    snr = (scene.tx_power_w * float(np.sum(np.abs(h) ** 2)) * chain_gain
+    snr = (scene.tx_power_w * float(np.sum(np.abs(h) ** 2)) * scene.chain_gain
            / scene.noise_power_w)
     return 10.0 * math.log10(snr) if snr > 0 else float("-inf")

@@ -32,7 +32,6 @@ from .errors import InvalidSceneError, ValidationError, require_int, require_rea
 from .geometry import ElementLayout, PanelSpec, as_points, dot3
 
 SPEED_OF_LIGHT = 299792458.0
-FAR_M = 1e150  # metres; with every coordinate within it, no squared distance overflows
 
 # Measured channel gains of the bundled prototype deployment, used as the
 # default Tx->panel / panel->Rx items of the CLI link budget.
@@ -66,6 +65,9 @@ class Scene:
     element_factor_q: float = 0.0
     tx_power_w: float = field(init=False)
     noise_power_w: float = field(init=False)
+    chain_gain: float = field(init=False)  # linear tx_gain_db + rx_gain_db + lna_gain_db
+    bs_side_sign: int = field(init=False)  # sign of the BS half-space; +1 along the normal
+    user_sides: np.ndarray = field(init=False)  # point_sides(users), read-only
 
     def __post_init__(self):
         for name in ("frequency_hz", "bandwidth_hz"):
@@ -80,8 +82,9 @@ class Scene:
         for name, dbm in (("tx_power_w", self.tx_power_dbm), ("noise_power_w", noise_dbm)):
             object.__setattr__(self, name, require_real(name, db_to_linear(dbm - 30.0), positive=True))
         # The linear chain gain snr_at multiplies by, checked the same way.
-        require_real("tx_gain_db + rx_gain_db + lna_gain_db as a linear gain", db_to_linear(
-            self.tx_gain_db + self.rx_gain_db + self.lna_gain_db), positive=True)
+        object.__setattr__(self, "chain_gain", require_real(
+            "tx_gain_db + rx_gain_db + lna_gain_db as a linear gain", db_to_linear(
+                self.tx_gain_db + self.rx_gain_db + self.lna_gain_db), positive=True))
         # Frozen copies, so the caller's arrays stay writable and a write to
         # them cannot reach a cached channel geometry.
         bs = as_points(self.bs_antennas, "bs antennas")
@@ -97,8 +100,11 @@ class Scene:
         if not user_sides.all():
             raise InvalidSceneError(
                 f"user {users[user_sides == 0][0].tolist()} lies in the panel plane")
-        object.__setattr__(self, "bs_antennas", bs)
-        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "bs_side_sign", int(bs_sides[0]))
+        user_sides = user_sides * self.bs_side_sign  # as point_sides(users)
+        user_sides.setflags(write=False)
+        for name, value in (("bs_antennas", bs), ("users", users), ("user_sides", user_sides)):
+            object.__setattr__(self, name, value)
 
     @property
     def wavelength(self) -> float:
@@ -111,11 +117,6 @@ class Scene:
     @property
     def num_users(self) -> int:
         return self.users.shape[0]
-
-    @cached_property
-    def bs_side_sign(self) -> int:
-        """Sign of the BS half-space; +1 along the panel normal."""
-        return int(self.panel.plane_side(self.bs_antennas[0]))
 
     def point_sides(self, points) -> np.ndarray:
         """+1 on the BS (reflection) side, -1 on the refraction side, 0 in
@@ -191,19 +192,10 @@ def prototype_chain(scene: Scene, ios_gain_db: float,
     )
 
 
-def _require_near(points: np.ndarray, what: str) -> None:
-    """ValidationError naming the first (N, 3) point beyond ``FAR_M`` on an axis."""
-    if np.maximum.reduce(np.abs(points), axis=None, initial=0.0) > FAR_M:
-        far = points[(np.abs(points) > FAR_M).any(axis=1)][0].tolist()
-        raise ValidationError(f"{what} at {far} has a coordinate beyond {FAR_M:g} m")
-
-
 def _free_space(points: np.ndarray, sources: np.ndarray, source: str, scene: Scene,
                 q: float = 0.0) -> np.ndarray:
     """Free-space gains between each point (rows) and each ``source`` (cols),
     times the cos^q factor of the panel normal toward the point."""
-    _require_near(points, "a point")
-    _require_near(sources, source)
     # geometry.dot3's order, per axis without a (P, S, 3) temporary and in place:
     # |(dx*nx + dy*ny) + dz*nz| and the squared distance (dx*dx + dy*dy) + dz*dz.
     dist, dy, dz = (np.subtract.outer(p, e) for p, e in zip(points.T, sources.T))
@@ -310,8 +302,6 @@ def _build_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
         # Unit-amplitude plane wave per antenna, travelling antenna -> panel
         # centre; phase referenced to the panel centre.
         # No antenna is at the centre: Scene keeps them off the panel plane.
-        _require_near(scene.bs_antennas, "a BS antenna")
-        _require_near(layout.positions, "an element")
         k = 2.0 * math.pi / scene.wavelength
         directions = scene.panel.center - scene.bs_antennas
         directions /= np.sqrt(dot3(directions, directions))[:, None]
@@ -319,7 +309,7 @@ def _build_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
         bs_to_element = np.exp(-1j * k * dot3(directions[:, None], rel[None]))
     else:
         bs_to_element = _hop_gains(scene.bs_antennas, layout, scene)
-    sides = scene.point_sides(scene.users)
+    sides = scene.user_sides
     return ChannelGeometry(
         bs_to_element=bs_to_element,
         element_to_user=_hop_gains(scene.users, layout, scene),

@@ -26,6 +26,7 @@ Vec3 = np.ndarray  # shape (3,), float64
 
 PLANE_EPS = 1e-9   # metres; closer than this to the plane counts as "in plane"
 UNIT_EPS = 1e-12
+FAR_M = 1e150  # metres; with every coordinate within it, no squared distance overflows
 
 
 def _real_array(value, message: str) -> np.ndarray:
@@ -60,16 +61,26 @@ def as_vec3(value, name: str = "vector") -> Vec3:
 
 
 def as_points(value, name: str) -> np.ndarray:
-    """Coerce to a read-only finite (N, 3) float array with N >= 1; one
-    [x, y, z] is one point."""
+    """Coerce to a read-only (N, 3) float array with N >= 1 that
+    :func:`require_near` accepts; one [x, y, z] is one point."""
     points = np.atleast_2d(
         _real_array(value, f"{name} must be a non-empty list of real [x, y, z]"))
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
         raise ValidationError(f"{name} must be a non-empty list of [x, y, z]")
-    if not np.all(np.isfinite(points)):
-        raise ValidationError(f"{name} must have finite coordinates")
+    require_near(points, name)
     points.setflags(write=False)
     return points
+
+
+def require_near(points: np.ndarray, name: str) -> None:
+    """The one point check: every coordinate is finite and within ``FAR_M``,
+    else a ValidationError names the first point of the (N, 3) array."""
+    if not np.abs(points).max(initial=0.0) <= FAR_M:  # a NaN fails it too
+        row = int(np.argmin((np.abs(points) <= FAR_M).all(axis=1)))
+        point = f"point {row} at {points[row].tolist()}"
+        raise ValidationError(f"{name}: {point} has a coordinate beyond {FAR_M:g} m"
+                              if np.isfinite(points[row]).all()
+                              else f"{name} must have finite coordinates, got {point}")
 
 
 def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -91,19 +91,24 @@ def dotted(node) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
-def blas_uses(tree, function=None):
-    """(function, node) of every BLAS call or ``@`` in ``tree``, with the
-    outermost function it sits in."""
+def uses(tree, matches, function=None):
+    """(function, node) of every node in ``tree`` that ``matches``, with the
+    outermost function it sits in (None at module level)."""
     for child in ast.iter_child_nodes(tree):
         inner = function
         if function is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = child.name
-        if ((isinstance(child, ast.Call)
-             and any(dotted(child.func) == f"np.{name}" for name in BLAS_CALLS))
-                or (isinstance(child, (ast.BinOp, ast.AugAssign))
-                    and isinstance(child.op, ast.MatMult))):
+        if matches(child):
             yield function, child
-        yield from blas_uses(child, inner)
+        yield from uses(child, matches, inner)
+
+
+def is_blas(node) -> bool:
+    """A BLAS call or ``@``."""
+    return ((isinstance(node, ast.Call)
+             and any(dotted(node.func) == f"np.{name}" for name in BLAS_CALLS))
+            or (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)))
 
 
 def test_summation_order_has_two_owners():
@@ -111,11 +116,30 @@ def test_summation_order_has_two_owners():
     3-vectors go through ``geometry.dot3``, other sums ``ordered_sum``."""
     offenders = []
     for name, tree in source_trees():
-        for function, node in blas_uses(tree):
+        for function, node in uses(tree, is_blas):
             allowed = BLAS_ALLOWED.get((name, function), "")
             if allowed is not None and ast.unparse(node) != allowed:
                 offenders.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert not offenders, f"BLAS outside the named exceptions: {offenders}"
+
+
+def names(name: str):
+    """Matcher of a use of ``name``, bare or as an attribute."""
+    return lambda node: (getattr(node, "id", None) == name
+                         or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_point_checks_have_one_owner():
+    """``geometry`` owns "a valid point": only it names ``FAR_M``, and its
+    ``require_near`` runs where points enter, in ``as_points`` (BS antennas,
+    users, element positions) and in ``analysis._field`` (coverage cells,
+    pattern probes, the ``snr_at`` point), and nowhere again downstream."""
+    bounds, checks = set(), set()
+    for name, tree in source_trees():
+        bounds |= {name for _, _ in uses(tree, names("FAR_M"))}
+        checks |= {(name, function) for function, _ in uses(tree, names("require_near"))}
+    assert bounds == {"geometry.py"}
+    assert checks == {("geometry.py", "as_points"), ("analysis.py", "_field")}
 
 
 PANEL = dict(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1, cols=2, dx=0.04, dy=0.04,

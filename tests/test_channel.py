@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -12,7 +13,7 @@ from omnisim import (CoefficientPair, Configuration, ElementLayout, FadingModel,
                      build_layout, channel, channel_geometry, exhaustive_optimize,
                      friis_gain, greedy_optimize, link_budget, noise_power,
                      relaxed_upper_bound, side_of, sum_rate)
-from omnisim.channel import SPEED_OF_LIGHT, _hop_gains, draw_realizations
+from omnisim.channel import SPEED_OF_LIGHT, _hop_gains, db_to_linear, draw_realizations
 
 WAVELENGTH_3G6 = SPEED_OF_LIGHT / 3.6e9
 
@@ -390,6 +391,42 @@ class TestSceneValidation:
                            match=f"^{name} must be a non-empty list of real"):
             Scene(frequency_hz=3.6e9, panel=tiny_panel(), tx_power_dbm=0.0,
                   bandwidth_hz=1e6, **terminals)
+
+
+class TestStoredSides:
+    """``Scene`` keeps the sides and the chain gain it computes to validate
+    itself, and refuses a far terminal there, before any channel is built."""
+
+    def scene(self):
+        panel = tiny_panel(normal=(0, 0.6, -0.8))
+        return make_scene(panel, [[0.1, -0.5, 1.0], [0.3, 0.2, 2.0]],
+                          [[0.4, 0.2, -0.9], [-0.3, 0.1, 1.0], [0.2, -3.0, 0.5]],
+                          tx_gain_db=2.0, rx_gain_db=-1.5, lna_gain_db=20.0)
+
+    def test_sides_are_the_recomputed_ones(self):
+        scene = self.scene()
+        assert scene.bs_side_sign == int(scene.panel.plane_side(scene.bs_antennas[0])) == -1
+        want = scene.panel.plane_side(scene.users) * scene.bs_side_sign
+        assert scene.user_sides.dtype == want.dtype
+        assert scene.user_sides.tolist() == want.tolist() == scene.point_sides(
+            scene.users).tolist() == [-1, 1, 1]
+        assert scene.chain_gain == db_to_linear(2.0 - 1.5 + 20.0)
+
+    def test_sides_are_read_only(self):
+        scene = self.scene()
+        with pytest.raises(ValueError, match="read-only"):
+            scene.user_sides[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scene.bs_side_sign = 1
+
+    @pytest.mark.parametrize("field", ["bs", "users"])
+    def test_far_terminal_is_refused_when_the_scene_is_built(self, field):
+        terminals = {"bs": [[0.0, 0.0, 1.0]], "users": [[0.3, 0.0, -1.0]]}
+        terminals[field] = [*terminals[field], [0.0, 0.0, -1e200]]
+        with pytest.raises(ValidationError,
+                           match=r"point 1 at \[0\.0, 0\.0, -1e\+200\] has a coordinate "
+                                 r"beyond 1e\+150 m"):
+            make_scene(tiny_panel(), terminals["bs"], terminals["users"])
 
 
 class TestElementFactor:

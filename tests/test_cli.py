@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -260,15 +261,30 @@ class TestPattern:
 
 
 
+FAR = "has a coordinate beyond 1e+150 m"
+FAR_PANEL = {"rows": 2, "cols": 4, "dx_m": 0.04, "dy_m": 0.04, "group_rows": 2,
+             "group_cols": 2, "center": [1e200, 0, 0], "normal": [0, 0, 1.0]}
+
+
 class TestFarPoints:
-    @pytest.mark.parametrize("argv, user", [
-        (["simulate", "--optimizer", "greedy"], [-0.3, 0.1, 1e200]),
-        (["pattern", "--radius-m", "1e200"], None)], ids=["user", "pattern radius"])
-    def test_far_point_exits_2_without_artifact(self, capsys, tmp_path, argv, user):
-        """A point whose squared distance would overflow is refused by name,
-        not scored as a run of degenerate rates or a pattern of -inf dB."""
-        scene = small_scene_file(tmp_path, **({"users": [[0.4, 0.2, -0.9], user]}
-                                              if user else {}))
+    @pytest.mark.parametrize("argv, overrides, message", [
+        (["simulate", "--optimizer", "greedy"],
+         {"users": [[0.4, 0.2, -0.9], [-0.3, 0.1, 1e200]]},
+         f"users: point 1 at [-0.3, 0.1, 1e+200] {FAR}"),
+        (["pattern", "--radius-m", "1e200"], {},
+         "eval_radius must be a real number that is at least 2e-09 and at most 3.57"),
+        (["coverage", "--grid=1e200,1e200,0,0,1,1"], {},
+         f"field points: point 0 at [0.0, 0.0, 1e+200] {FAR}"),
+        (["simulate", "--optimizer", "greedy"], {"panel": FAR_PANEL},
+         f"layout positions: point 0 at [1e+200, -0.02, 0.0] {FAR}")],
+        ids=["user", "pattern radius", "coverage grid", "panel centre"])
+    def test_far_point_exits_2_without_artifact(self, capsys, tmp_path, argv, overrides,
+                                                message):
+        """A point whose squared distance would overflow is refused by name
+        where it enters, not scored as a run of degenerate rates, a map of
+        zeros or a pattern of -inf dB; a pattern radius beyond 2^32
+        wavelengths is refused before any probe is placed."""
+        scene = small_scene_file(tmp_path, **overrides)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         code, out, err = run_cli(capsys, argv[0], "--config", scene, *argv[1:],
@@ -276,8 +292,7 @@ class TestFarPoints:
         assert code == 2 and out == ""
         payload = json.loads(err)["error"]
         assert payload["type"] == "validation"
-        assert "has a coordinate beyond 1e+150 m" in payload["message"]
-        assert user is None or str(user) in payload["message"]
+        assert message in payload["message"]
         assert list(out_dir.iterdir()) == []
 
 
@@ -315,8 +330,10 @@ class TestCoverage:
 # The numeric flags of every subcommand, each with the probe values it takes;
 # a coverage grid field is a flag of its own here.
 PROBE_VALUES = ("nan", "inf", "-inf", "0", "-1")
-# Probes of one flag only: pattern steps that would ask for more than 2^20 probes.
-FLAG_PROBES = {"--step-deg": ("1e-12", "1e-300")}
+# Probes of one flag only: pattern steps that would ask for more than 2^20 probes,
+# and pattern radii that put every probe in the panel plane or beyond 2^32
+# wavelengths.
+FLAG_PROBES = {"--step-deg": ("1e-12", "1e-300"), "--radius-m": ("1e-12", "1e149")}
 NUMERIC_FLAGS = {
     "simulate": {"--seed": {"0"}, "--sweeps": set(), "--trials": set(), "--samples": set(),
                  "--k-factor-db": {"inf", "-inf", "0", "-1"}},
@@ -358,7 +375,7 @@ class TestNumericFlags:
     @with_each_value_alone
     def test_invalid_value_exits_2_without_artifact(self, scene, run):
         """Every numeric flag, given NaN, +-inf, 0 or -1 (and the pattern step
-        1e-12 or 1e-300) alone or with others:
+        1e-12 or 1e-300, the pattern radius 1e-12 or 1e149) alone or with others:
         exit 2 and no artifact when any value is out of its flag's range (or
         the grid's extents are reversed), otherwise exit 0 and an artifact."""
         command, values = run
@@ -544,6 +561,20 @@ class TestThreadsEnv:
             assert code == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+    @pytest.mark.parametrize("threads, pooled", [("1", False), ("2", True)])
+    def test_pool_is_imported_only_for_more_than_one_thread(self, tmp_path, threads,
+                                                            pooled):
+        """``concurrent.futures`` and the logging it loads cost every CLI
+        process import time; only a coverage map on 2+ threads needs them."""
+        run = ("import sys, omnisim.cli\n"
+               f"code = omnisim.cli.main(['coverage', '--config', {prototype_scene_path()!r},"
+               f" '--grid=-1,1,-1,1,3,3', '--out', {str(tmp_path / 'm.csv')!r}])\n"
+               "print(code, 'concurrent.futures' in sys.modules)")
+        child = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True,
+                               env={**os.environ, "OMNISIM_THREADS": threads})
+        assert child.stdout.split() == ["0", str(pooled)], child.stderr
 
 
 class TestRoundTrip:

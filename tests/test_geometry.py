@@ -1,10 +1,14 @@
+import math
+import operator
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from omnisim import (InvalidSceneError, PanelSpec, Side, SideUndefinedError,
                      ValidationError, build_layout, side_of)
-from omnisim.geometry import dot3
+from omnisim.geometry import FAR_M, as_points, dot3
 
 UNIT_Z = np.array([0.0, 0.0, 1.0])
 
@@ -104,6 +108,29 @@ def test_dot3_is_the_left_fold(rows, b):
     got = dot3(np.array(rows), np.array(b))
     want = np.array([(a[0] * b[0] + a[1] * b[1]) + a[2] * b[2] for a in rows])
     assert got.tobytes() == want.tobytes()
+
+
+BEYOND = st.floats(min_value=FAR_M, exclude_min=True, allow_infinity=False)
+BAD_COORDINATES = (st.sampled_from([math.nan, math.inf, -math.inf]) | BEYOND
+                   | BEYOND.map(operator.neg))
+
+
+@given(st.lists(st.tuples(*[COORDINATES] * 3), min_size=1, max_size=5), st.data())
+def test_as_points_names_the_bad_row(rows, data):
+    """Coordinates within +-FAR_M, its bounds included, are accepted; one NaN,
+    infinity or coordinate beyond FAR_M is refused with the row that holds it."""
+    points = np.array(rows)
+    assert as_points(points, "points").tobytes() == points.tobytes()
+    row = data.draw(st.integers(0, len(rows) - 1))
+    points[row, data.draw(st.integers(0, 2))] = data.draw(BAD_COORDINATES)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"point {row} at {points[row].tolist()}")):
+        as_points(points, "points")
+
+
+def test_as_points_accepts_far_m_exactly():
+    points = [[FAR_M, -FAR_M, 0.0], [0.0, FAR_M, -FAR_M]]
+    assert as_points(points, "points").tolist() == points
 
 
 class TestSideOf:

@@ -21,18 +21,33 @@ and greedy group outcomes with the ``sum_rate`` of both chosen configurations
 scenes of seed 1, statistical search at group granularity with 3 samples
 ("oracle statistical").  Run it at two commits: equal digests mean every
 outcome of that part kept its bits.
+
+The part "prototype field" hashes the field path's outputs on the prototype:
+the bytes of a 21 x 21 coverage CSV and PGM at 1 and 2 threads and of a 1
+degree pattern CSV of both sides, and the ``repr`` of ``snr_at`` at 10
+points under a random element configuration, with and without the direct
+path and a cos^1 element factor.  The total digest leaves this part out, so
+it stays comparable with totals printed before the part existed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
+import io
+import os
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import omnisim as om  # noqa: E402
+from omnisim.cli import main as cli_main  # noqa: E402
 from oracle_scenes import oracle_scenes  # noqa: E402
 
 SEED = 7           # random and statistical searches
@@ -40,7 +55,9 @@ K_FACTOR_DB = 10.0  # as the CLI default
 ORACLE_SEEDS = (1, 2, 3, 4)
 ORACLE_SCENES = 60  # per seed, as one benchmark round
 ORACLE_FADING_SAMPLES = 3  # statistical search on the scenes of the first seed
-PARTS = ("prototype searches", "oracle searches", "oracle bounds", "oracle statistical")
+SNR_POINTS = 10    # per scene of the field part
+PARTS = ("prototype searches", "oracle searches", "oracle bounds", "oracle statistical",
+         "prototype field")
 
 
 def outcome_text(outcome) -> str:
@@ -97,13 +114,56 @@ def oracle_lines():
                 yield line, {"oracle statistical": line}
 
 
+def run_cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if cli_main(list(argv)) != 0:
+            raise SystemExit(f"omnisim {' '.join(argv)} failed")
+
+
+def artifact_lines():
+    """Digests of the coverage and pattern files the CLI writes."""
+    config = om.prototype_scene_path()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for count in ("1", "2"):
+            with mock.patch.dict(os.environ, OMNISIM_THREADS=count):
+                run_cli("coverage", "--config", config, "--grid=-2,2,-2,2,21,21",
+                        "--out", str(out / "map.csv"), "--pgm", str(out / "map.pgm"))
+            for name in ("map.csv", "map.pgm"):
+                yield f"coverage {count} {name}", (out / name).read_bytes()
+        run_cli("pattern", "--config", config, "--side", "both", "--step-deg", "1",
+                "--out", str(out / "pattern.csv"))
+        yield "pattern", (out / "pattern.csv").read_bytes()
+
+
+def field_lines():
+    """Lines of the "prototype field" part, which the total leaves out."""
+    for name, data in artifact_lines():
+        yield None, {"prototype field": f"{name} {hashlib.sha256(data).hexdigest()}"}
+    parsed = om.parse_scene(om.prototype_scene_path())
+    document = copy.deepcopy(parsed.raw)
+    document["options"].update(direct_path=True, element_factor_q=1.0)
+    layout = om.build_layout(parsed.panel)
+    rng = np.random.default_rng(SEED)
+    config = om.Configuration(states=tuple(
+        rng.integers(0, len(parsed.table.states), layout.num_elements).tolist()))
+    points = rng.uniform(-3.0, 3.0, (SNR_POINTS, 3))
+    for tag, scene in (("plain", parsed.scene),
+                       ("direct", om.parse_scene_dict(document).scene)):
+        for point in points:
+            snr = om.snr_at(scene, layout, parsed.table, config, point)
+            yield None, {"prototype field": f"snr_at {tag} {point.tolist()!r} {snr!r}"}
+
+
 def main() -> None:
     """The total hashes every line as it always has, so its digest stays
-    comparable across versions of this script; each part hashes its own."""
+    comparable across versions of this script; each part hashes its own, and
+    lines of no total (None) only their part."""
     total = hashlib.sha256()
     parts = {name: hashlib.sha256() for name in PARTS}
-    for line, part_lines in (*prototype_lines(), *oracle_lines()):
-        total.update(line.encode() + b"\n")
+    for line, part_lines in (*prototype_lines(), *oracle_lines(), *field_lines()):
+        if line is not None:
+            total.update(line.encode() + b"\n")
         for name, part_line in part_lines.items():
             parts[name].update(part_line.encode() + b"\n")
     for name, digest in parts.items():
