@@ -8,7 +8,7 @@ from .beamforming import (BeamformerResult, OptimizationOutcome, RateResult,
                           statistical_optimize, sum_rate, zf_precoder)
 from .channel import (ChannelGeometry, FadingModel, LinkBudgetChain, Scene,
                       assemble_channel, channel_geometry, friis_gain,
-                      link_budget, noise_power, prototype_chain)
+                      link_budget, noise_power)
 from .elements import (CoefficientPair, Configuration, Granularity, StateTable,
                        quantize_phase, validate_table)
 from .errors import (InvalidSceneError, NumericalError, OmnisimError,
@@ -31,8 +31,7 @@ __all__ = [
     "build_layout", "channel_geometry", "coverage_map", "evaluate_rates",
     "exhaustive_optimize", "friis_gain", "greedy_optimize", "link_budget",
     "load_prototype", "noise_power", "parse_scene", "parse_scene_dict",
-    "prototype_chain", "prototype_scene_path", "quantize_phase",
-    "radiation_pattern", "random_baseline", "relaxed_upper_bound", "side_of",
-    "snr_at", "statistical_optimize", "sum_rate", "validate_table",
-    "zf_precoder",
+    "prototype_scene_path", "quantize_phase", "radiation_pattern",
+    "random_baseline", "relaxed_upper_bound", "side_of", "snr_at",
+    "statistical_optimize", "sum_rate", "validate_table", "zf_precoder",
 ]

@@ -15,7 +15,8 @@ import numpy as np
 
 from .channel import Scene, _direct_gains, _hop_gains, channel_geometry
 from .elements import Configuration, StateTable
-from .errors import SideUndefinedError, ValidationError, require_int, require_real
+from .errors import (SideUndefinedError, ValidationError, require_array, require_int,
+                     require_real)
 from .geometry import PLANE_EPS, ElementLayout, Side, as_vec3, require_near
 
 # Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
@@ -60,6 +61,8 @@ class CoverageGrid:
             object.__setattr__(self, name, require_real(f"grid {name}", getattr(self, name)))
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValidationError("grid extents must satisfy x1 >= x0, y1 >= y0")
+        # np.linspace subtracts the extents, so their difference must be finite too.
+        require_real("grid span", max(self.x1 - self.x0, self.y1 - self.y0))
 
     @property
     def xs(self) -> np.ndarray:
@@ -145,7 +148,10 @@ def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
     eval_radius = require_real("eval_radius", eval_radius, 2 * PLANE_EPS, 2.0 ** 32 * scene.wavelength)
     if cut not in ("azimuth", "elevation"):
         raise ValidationError(f"unknown cut {cut!r}; expected azimuth or elevation")
-    theta = np.deg2rad(np.asarray(angles_deg, dtype=float))
+    message = "angles_deg must be a 1-D array of real numbers"
+    theta = np.deg2rad(require_array(angles_deg, message))
+    if theta.ndim != 1:
+        raise ValidationError(message)
     if not np.all(np.isfinite(theta)):
         raise ValidationError("angles_deg must be finite")
     axis = layout.u if cut == "azimuth" else layout.v

@@ -20,8 +20,8 @@ from .channel import (PASS_ENTRIES, ChannelGeometry, ChannelKernel, FadingModel,
                       FadingRealization, Scene, _configuration_channels,
                       channel_geometry, draw_realizations, ordered_sum)
 from .elements import Configuration, Granularity, StateTable
-from .errors import (RankDeficientChannelError, SearchSpaceError,
-                     TooManyUsersError, ValidationError, require_int, require_real)
+from .errors import (RankDeficientChannelError, SearchSpaceError, TooManyUsersError,
+                     ValidationError, require_array, require_int, require_real)
 from .geometry import ElementLayout, Side
 
 CONDITION_LIMIT = 1e12
@@ -113,7 +113,10 @@ def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> Beamform
     Raises TooManyUsersError when K > Nt and RankDeficientChannelError when
     H H^H is singular or its condition number reaches 1e12.
     """
-    H = np.atleast_2d(np.asarray(channel, dtype=complex))
+    message = "channel must be a non-empty (K, Nt) array of numbers"
+    H = np.atleast_2d(require_array(channel, message, complex))
+    if H.ndim != 2 or not len(H):
+        raise ValidationError(message)
     total_power_w = require_real("total_power_w", total_power_w, positive=True)
     noise_power_w = require_real("noise_power_w", noise_power_w, positive=True)
     if not np.all(np.isfinite(H)):

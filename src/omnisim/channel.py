@@ -28,15 +28,11 @@ from functools import cached_property
 import numpy as np
 
 from .elements import Configuration, StateTable
-from .errors import InvalidSceneError, ValidationError, require_int, require_real
+from .errors import (InvalidSceneError, ValidationError, require_array, require_int,
+                     require_real)
 from .geometry import ElementLayout, PanelSpec, as_points, dot3
 
 SPEED_OF_LIGHT = 299792458.0
-
-# Measured channel gains of the bundled prototype deployment, used as the
-# default Tx->panel / panel->Rx items of the CLI link budget.
-MEASURED_TX_IOS_GAIN_DB = -47.76
-MEASURED_IOS_RX_GAIN_DB = -43.53
 
 
 def db_to_linear(db: float) -> float:
@@ -129,9 +125,10 @@ def friis_gain(distance, wavelength: float):
 
     Accepts scalar or array distances; raises on a non-positive or non-finite input.
     """
-    d = np.asarray(distance, dtype=float)
+    message = "friis_gain requires positive distances, finite"
+    d = require_array(distance, message)
     if not np.all((d > 0) & np.isfinite(d)):
-        raise ValidationError("friis_gain requires positive distances, finite")
+        raise ValidationError(message)
     out = _friis(d, require_real("wavelength", wavelength, positive=True))
     return complex(out) if np.isscalar(distance) else out
 
@@ -164,32 +161,19 @@ class LinkBudgetChain:
 
     def __post_init__(self):
         object.__setattr__(self, "tx_power_dbm", require_real("tx_power_dbm", self.tx_power_dbm))
-        object.__setattr__(self, "items", tuple((label, require_real(
-            f"link budget item {label!r}", value)) for label, value in self.items))
+        try:
+            items = tuple((label, require_real(f"link budget item {label!r}", value))
+                          for label, value in self.items)
+        except (TypeError, ValueError):  # not iterable, or an item that is not a pair
+            raise ValidationError(f"link budget items must be (label, dB) pairs, "
+                                  f"got {self.items!r}") from None
+        object.__setattr__(self, "items", items)
 
 
 def link_budget(chain: LinkBudgetChain) -> float:
     """Received power in dBm: the chain summed exactly.  ``math.fsum`` is
     correctly rounded, so the total does not depend on item order."""
     return math.fsum([chain.tx_power_dbm, *(v for _, v in chain.items)])
-
-
-def prototype_chain(scene: Scene, ios_gain_db: float,
-                    tx_ios_db: float = MEASURED_TX_IOS_GAIN_DB,
-                    ios_rx_db: float = MEASURED_IOS_RX_GAIN_DB) -> LinkBudgetChain:
-    """Link budget chain: scene gains around the two channel hops and the
-    panel gain.  Channel items default to the prototype's measured values."""
-    return LinkBudgetChain(
-        tx_power_dbm=scene.tx_power_dbm,
-        items=(
-            ("tx_antenna_db", scene.tx_gain_db),
-            ("tx_ios_channel_db", tx_ios_db),
-            ("ios_gain_db", ios_gain_db),
-            ("ios_rx_channel_db", ios_rx_db),
-            ("rx_antenna_db", scene.rx_gain_db),
-            ("lna_db", scene.lna_gain_db),
-        ),
-    )
 
 
 def _free_space(points: np.ndarray, sources: np.ndarray, source: str, scene: Scene,

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import beamforming
 from .analysis import CoverageGrid, coverage_map, radiation_pattern
-from .channel import (MEASURED_IOS_RX_GAIN_DB, MEASURED_TX_IOS_GAIN_DB,
-                      FadingModel, link_budget, prototype_chain)
+from .channel import FadingModel, LinkBudgetChain, link_budget
 from .elements import Configuration, Granularity
 from .errors import (NumericalError, OmnisimError, SearchSpaceError,
                      ValidationError, require_int, require_real)
@@ -37,6 +36,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_GUARD = 4
+
+# Measured channel gains of the bundled prototype deployment, the default
+# Tx->panel / panel->Rx items of the link budget.
+MEASURED_TX_IOS_GAIN_DB = -47.76
+MEASURED_IOS_RX_GAIN_DB = -43.53
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -229,8 +233,11 @@ def _write_pgm(cmap, path: str) -> None:
 
 def cmd_linkbudget(args) -> int:
     parsed = parse_scene(args.config)
-    chain = prototype_chain(parsed.scene, ios_gain_db=args.ios_gain_db,
-                            tx_ios_db=args.tx_ios_db, ios_rx_db=args.ios_rx_db)
+    scene = parsed.scene  # scene gains around the two channel hops and the panel gain
+    chain = LinkBudgetChain(tx_power_dbm=scene.tx_power_dbm, items=(
+        ("tx_antenna_db", scene.tx_gain_db), ("tx_ios_channel_db", args.tx_ios_db),
+        ("ios_gain_db", args.ios_gain_db), ("ios_rx_channel_db", args.ios_rx_db),
+        ("rx_antenna_db", scene.rx_gain_db), ("lna_db", scene.lna_gain_db)))
     print(f"tx_power_dbm {_fmt(chain.tx_power_dbm)}")
     for name, value in chain.items:
         print(f"{name} {_fmt(value)}")

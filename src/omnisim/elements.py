@@ -80,6 +80,9 @@ class StateTable:
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 1:
             raise ValidationError("state table must contain at least one state")
+        if not all(isinstance(state, CoefficientPair) for state in self.states):
+            raise ValidationError(
+                f"state table entries must be CoefficientPair, got {self.states!r}")
 
     @property
     def num_states(self) -> int:

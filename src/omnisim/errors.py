@@ -73,6 +73,26 @@ def require_real(name: str, value, low: float = -FLOAT_MAX, high: float = FLOAT_
     raise ValidationError(f"{name} must be a real number{that}, got {value!r}")
 
 
+def require_array(value, message: str, dtype=float) -> np.ndarray:
+    """``value`` as a new array of ``dtype`` (int64, float or complex);
+    ValidationError with ``message`` if it is ragged, holds a bool anywhere,
+    or holds an entry that is not a number or that ``dtype`` would change
+    (a float into an integer, a complex number into a real)."""
+    with contextlib.suppress(TypeError, ValueError):  # ragged input, or a cast that changes entries
+        array = np.asarray(value)
+        if array.dtype.kind in "iufc" and (isinstance(value, np.ndarray) or not _holds_bool(value)):
+            return array.astype(dtype, casting="same_kind")
+    raise ValidationError(message)
+
+
+def _holds_bool(value) -> bool:
+    """Whether list input nests a bool anywhere: numpy reads a bool beside
+    numbers as 0 or 1, so the array's dtype no longer shows it."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
+
+
 def require_ints(name: str, values, minimum: int) -> tuple[int, ...]:
     """``values`` as a tuple of ints, each checked by :func:`require_int`, with
     its message; values that are all Python ints are checked in one scan."""

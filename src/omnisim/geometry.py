@@ -12,15 +12,14 @@ parallel to x), and ``v = normal x u``.  Columns run along ``u`` with pitch
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (InvalidSceneError, SideUndefinedError, ValidationError, require_int,
-                     require_real)
+from .errors import (InvalidSceneError, SideUndefinedError, ValidationError, require_array,
+                     require_int, require_real)
 
 Vec3 = np.ndarray  # shape (3,), float64
 
@@ -29,29 +28,9 @@ UNIT_EPS = 1e-12
 FAR_M = 1e150  # metres; with every coordinate within it, no squared distance overflows
 
 
-def _real_array(value, message: str) -> np.ndarray:
-    """``value`` as a new float array; ValidationError with ``message`` if it
-    is ragged or its entries are not integers or floats (no string, bool,
-    complex number or other object is read as a coordinate)."""
-    with contextlib.suppress(TypeError, ValueError):  # numpy refuses ragged input
-        array = np.asarray(value)
-        if array.dtype.kind in "iuf" and (isinstance(value, np.ndarray)
-                                          or not _holds_bool(value)):
-            return np.array(array, dtype=float)
-    raise ValidationError(message)
-
-
-def _holds_bool(value) -> bool:
-    """Whether list input nests a bool anywhere: numpy reads a bool beside
-    numbers as 0 or 1, so the array's dtype no longer shows it."""
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
-
-
 def as_vec3(value, name: str = "vector") -> Vec3:
     """Coerce to a read-only finite (3,) float array."""
-    v = _real_array(value, f"{name} must have 3 real components")
+    v = require_array(value, f"{name} must have 3 real components")
     if v.shape != (3,):
         raise ValidationError(f"{name} must have 3 components, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -64,7 +43,7 @@ def as_points(value, name: str) -> np.ndarray:
     """Coerce to a read-only (N, 3) float array with N >= 1 that
     :func:`require_near` accepts; one [x, y, z] is one point."""
     points = np.atleast_2d(
-        _real_array(value, f"{name} must be a non-empty list of real [x, y, z]"))
+        require_array(value, f"{name} must be a non-empty list of real [x, y, z]"))
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
         raise ValidationError(f"{name} must be a non-empty list of [x, y, z]")
     require_near(points, name)
@@ -136,10 +115,6 @@ class PanelSpec:
     def num_elements(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def num_groups(self) -> int:
-        return (self.rows // self.group_rows) * (self.cols // self.group_cols)
-
     @cached_property
     def basis(self) -> tuple[Vec3, Vec3]:
         """In-plane unit axes (u, v); see module docstring for the convention."""
@@ -160,7 +135,7 @@ class PanelSpec:
         """Side of the panel plane for each point of a (..., 3) array: +1
         along the normal, -1 against it, 0 within PLANE_EPS of the plane or
         NaN."""
-        d = dot3(np.asarray(points, dtype=float) - self.center, self.normal)
+        d = dot3(points - self.center, self.normal)
         return (d > PLANE_EPS).astype(np.int8) - (d < -PLANE_EPS)
 
 
@@ -181,10 +156,11 @@ class ElementLayout:
         # Frozen copies, so the caller's arrays stay writable and a write to
         # them cannot reach a cached channel geometry.
         positions = as_points(self.positions, "layout positions")
-        group_of = np.array(self.group_of)
+        group_of = require_array(self.group_of, "group indices must be non-negative integers",
+                                 np.int64)
         if group_of.shape != positions.shape[:1]:
             raise ValidationError("a layout needs one group index per position")
-        if not np.issubdtype(group_of.dtype, np.integer) or (group_of < 0).any():
+        if (group_of < 0).any():
             raise ValidationError("group indices must be non-negative integers")
         counts = np.bincount(group_of)
         if (counts != counts[0]).any():
@@ -230,11 +206,10 @@ def build_layout(spec: PanelSpec) -> ElementLayout:
 
 def side_of(spec: PanelSpec, bs_position, point) -> Side:
     """Classify ``point`` as REFLECTION (BS half-space) or REFRACTION."""
-    bs_side, point_side = spec.plane_side(np.array([bs_position, point], dtype=float))
+    bs, point = as_vec3(bs_position, "BS position"), as_vec3(point, "point")
+    bs_side, point_side = spec.plane_side(np.array([bs, point]))
     if bs_side == 0:
         raise InvalidSceneError("BS lies in the panel plane; scene is invalid")
     if point_side == 0:
-        raise SideUndefinedError(
-            f"point {np.asarray(point, dtype=float).tolist()} lies in the panel plane"
-        )
+        raise SideUndefinedError(f"point {point.tolist()} lies in the panel plane")
     return Side.REFLECTION if point_side == bs_side else Side.REFRACTION

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .channel import Scene
 from .elements import CoefficientPair, StateTable, validate_table
 from .errors import OmnisimError, ValidationError, require_int, require_real
@@ -167,8 +165,7 @@ def parse_scene_dict(data: dict, source: str = "<dict>") -> ParsedScene:
     try:
         scene = Scene(
             frequency_hz=raw["frequency_hz"], panel=panel,
-            bs_antennas=np.array(raw["bs"]["antennas"], dtype=float),
-            users=np.array(raw["users"], dtype=float),
+            bs_antennas=raw["bs"]["antennas"], users=raw["users"],
             tx_power_dbm=power["tx_dbm"], bandwidth_hz=power["bandwidth_hz"],
             noise_figure_db=power["noise_figure_db"],
             tx_gain_db=gains["tx_db"], rx_gain_db=gains["rx_db"],

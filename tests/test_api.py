@@ -1,5 +1,5 @@
 """The public API stays small (``omnisim.__all__`` is the whole of it), and
-each input check has one owner in ``errors``."""
+each input check and array conversion has one owner in ``errors``."""
 
 import ast
 import math
@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import omnisim
-from omnisim import (CoefficientPair, Configuration, CoverageGrid, FadingModel,
-                     LinkBudgetChain, PanelSpec, Scene, Side, StateTable, ValidationError,
-                     build_layout, friis_gain, noise_power, parse_scene_dict, quantize_phase,
-                     radiation_pattern, zf_precoder)
+from omnisim import (CoefficientPair, Configuration, CoverageGrid, ElementLayout,
+                     FadingModel, LinkBudgetChain, PanelSpec, Scene, Side, StateTable,
+                     ValidationError, build_layout, friis_gain, noise_power, parse_scene_dict,
+                     quantize_phase, radiation_pattern, side_of, zf_precoder)
 from omnisim.analysis import pattern_power
 
-MAX_PUBLIC_NAMES = 51  # ROADMAP: the public API gets smaller, not larger
+MAX_PUBLIC_NAMES = 50  # ROADMAP: the public API gets smaller, not larger
 
 
 def test_public_api_is_bounded_and_resolves():
@@ -142,6 +142,21 @@ def test_point_checks_have_one_owner():
     assert checks == {("geometry.py", "as_points"), ("analysis.py", "_field")}
 
 
+def is_conversion(node) -> bool:
+    """An ``np.asarray`` or ``np.array`` call given a dtype."""
+    return (isinstance(node, ast.Call) and dotted(node.func) in ("np.asarray", "np.array")
+            and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords)))
+
+
+def test_array_conversions_have_one_owner():
+    """Only ``errors.require_array`` converts an input to a dtype, so no
+    hand-written conversion (which reads a bool as 1, drops an imaginary
+    part or lets numpy's ValueError escape) creeps back."""
+    offenders = [f"{name}:{node.lineno} {ast.unparse(node)}"
+                 for name, tree in source_trees() for _, node in uses(tree, is_conversion)]
+    assert not offenders, f"array conversions outside errors.require_array: {offenders}"
+
+
 PANEL = dict(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1, cols=2, dx=0.04, dy=0.04,
              group_rows=1, group_cols=1)
 SCENE = dict(frequency_hz=3.6e9, bs_antennas=[[0, 0, 1.0]], users=[[0.3, 0, -1.0]],
@@ -221,3 +236,58 @@ def test_every_real_input_refuses_what_is_not_a_real_number(site, value):
     REAL_SITES[site](1.0)  # the baseline is accepted
     with pytest.raises(ValidationError):
         REAL_SITES[site](value)
+
+
+def layout_with_groups(group_of):
+    return ElementLayout(positions=np.zeros((2, 3)), group_of=group_of, u=[1.0, 0, 0],
+                         v=[0, 1.0, 0])
+
+
+# Every array input that errors.require_array converts: (call of one value, a
+# value it accepts, a value of a shape it refuses or None, whether it is real).
+ARRAY_SITES = {
+    "as_points (Scene.users)": (partial(scene_with, "users"), [[0.3, 0, -1.0]],
+                                np.zeros((0, 3)), True),
+    "as_vec3 (PanelSpec.center)": (partial(with_value, PanelSpec, PANEL, "center"),
+                                   [0.1, 0, 0], [[0.1, 0, 0]], True),
+    "ElementLayout.group_of": (layout_with_groups, [1, 0], [[1, 0]], True),
+    "friis_gain.distance": (lambda v: friis_gain(v, 0.1), [1.0, 2.0], None, True),
+    "pattern_power.angles_deg": (lambda v: pattern_power(*pattern_inputs(), Side.REFLECTION, v),
+                                 [10.0, 0.0], [[10.0, 0.0]], True),
+    "zf_precoder.channel": (lambda v: zf_precoder(v, 1.0, 1.0), [[1.0, 0.5]],
+                            np.zeros((0, 2)), False),
+    "zf_precoder.channel (3-D)": (lambda v: zf_precoder(v, 1.0, 1.0), [[1.0, 0.5]],
+                                  np.ones((2, 2, 2)), False),
+    "side_of.point": (lambda v: side_of(PanelSpec(**PANEL), [0, 0, 1.0], v), [0.1, 0, 0.7],
+                      [0.1, 0], True),
+}
+
+
+def first_replaced(value, entry):
+    """``value``, a number or nested list, with its first number replaced by ``entry``."""
+    return [first_replaced(value[0], entry), *value[1:]] if isinstance(value, list) else entry
+
+
+def not_arrays(accepted, wrong_shape, real):
+    yield "string", "abc"
+    yield "ragged", [[0.0, 0.0, 1.0], [0.0]]
+    yield "bool", first_replaced(accepted, True)
+    yield "numpy bool", first_replaced(accepted, np.True_)
+    yield "None", None
+    if real:
+        yield "complex", first_replaced(accepted, 1j)
+    if wrong_shape is not None:
+        yield "shape", wrong_shape
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{case}") for site, (_, accepted, *rest)
+    in ARRAY_SITES.items() for case, value in not_arrays(accepted, *rest)])
+def test_every_array_input_refuses_what_is_not_an_array_of_numbers(site, value):
+    """A string, a ragged list, a bool anywhere, None, a complex entry at a
+    real input and an array of the wrong shape or size are each a
+    ValidationError, not numpy's ValueError, a bool read as 1 or a crash later."""
+    call, accepted, *_ = ARRAY_SITES[site]
+    call(accepted)  # the baseline is accepted
+    with pytest.raises(ValidationError):
+        call(value)

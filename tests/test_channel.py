@@ -115,6 +115,11 @@ class TestLinkBudget:
         with pytest.raises(ValidationError, match="finite"):
             LinkBudgetChain(1.0, (("a", 1.0), ("b", value)))
 
+    @pytest.mark.parametrize("items", [(("a",),), (("a", 1.0, 2.0),), (1.0,), None])
+    def test_items_must_be_label_value_pairs(self, items):
+        with pytest.raises(ValidationError, match=r"must be \(label, dB\) pairs"):
+            LinkBudgetChain(0.0, items)
+
     @given(st.lists(st.floats(min_value=-80, max_value=40), min_size=1,
                     max_size=8),
            st.integers(min_value=0, max_value=100))

@@ -275,15 +275,18 @@ class TestFarPoints:
          "eval_radius must be a real number that is at least 2e-09 and at most 3.57"),
         (["coverage", "--grid=1e200,1e200,0,0,1,1"], {},
          f"field points: point 0 at [0.0, 0.0, 1e+200] {FAR}"),
+        (["coverage", "--grid=-1e308,1e308,-1,1,3,3"], {},
+         "grid span must be a real number that is finite, got inf"),
         (["simulate", "--optimizer", "greedy"], {"panel": FAR_PANEL},
          f"layout positions: point 0 at [1e+200, -0.02, 0.0] {FAR}")],
-        ids=["user", "pattern radius", "coverage grid", "panel centre"])
+        ids=["user", "pattern radius", "coverage grid", "coverage span", "panel centre"])
     def test_far_point_exits_2_without_artifact(self, capsys, tmp_path, argv, overrides,
                                                 message):
         """A point whose squared distance would overflow is refused by name
         where it enters, not scored as a run of degenerate rates, a map of
         zeros or a pattern of -inf dB; a pattern radius beyond 2^32
-        wavelengths is refused before any probe is placed."""
+        wavelengths, or a coverage grid whose span overflows, is refused
+        before any probe or cell is placed, with no numpy warning."""
         scene = small_scene_file(tmp_path, **overrides)
         out_dir = tmp_path / "out"
         out_dir.mkdir()

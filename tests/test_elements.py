@@ -92,6 +92,13 @@ class TestStateTable:
         with pytest.raises(ValidationError):
             StateTable(states=())
 
+    @pytest.mark.parametrize("states", [(1,), ("state",), (None,), ({"amp": 0.5},)])
+    def test_entries_must_be_coefficient_pairs(self, states):
+        """An entry that is not a state is refused here, not met later as an
+        AttributeError when the table is read."""
+        with pytest.raises(ValidationError, match="entries must be CoefficientPair"):
+            StateTable(states=states)
+
 
 PANEL_ARGS = dict(center=[0, 0, 0], normal=[0, 0, 1.0], rows=2, cols=2,
                   dx=0.03, dy=0.03, group_rows=1, group_cols=1)

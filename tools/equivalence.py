@@ -19,8 +19,9 @@ and, on the 240 ``oracle`` benchmark scenes of seeds 1-4, the exhaustive
 and greedy group outcomes with the ``sum_rate`` of both chosen configurations
 ("oracle searches") and the relaxed bound ("oracle bounds"), plus, on the 60
 scenes of seed 1, statistical search at group granularity with 3 samples
-("oracle statistical").  Run it at two commits: equal digests mean every
-outcome of that part kept its bits.
+("oracle statistical").  ``tests/test_equivalence.py`` runs it and compares
+its output with the digests recorded in ``tests/equivalence.json``: equal
+digests mean every outcome of that part kept its bits.
 
 The part "prototype field" hashes the field path's outputs on the prototype:
 the bytes of a 21 x 21 coverage CSV and PGM at 1 and 2 threads and of a 1
