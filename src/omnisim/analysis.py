@@ -15,8 +15,8 @@ import numpy as np
 
 from .channel import Scene, _direct_gains, _hop_gains, channel_geometry
 from .elements import Configuration, StateTable
-from .errors import (SideUndefinedError, ValidationError, require_array, require_int,
-                     require_real)
+from .errors import (SideUndefinedError, ValidationError, require_array, require_choice,
+                     require_int, require_real)
 from .geometry import PLANE_EPS, ElementLayout, Side, as_vec3, require_near
 
 # Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
@@ -155,8 +155,8 @@ def pattern_power(scene: Scene, layout: ElementLayout, table: StateTable,
     if not np.all(np.isfinite(theta)):
         raise ValidationError("angles_deg must be finite")
     axis = layout.u if cut == "azimuth" else layout.v
-    normal_out = scene.panel.normal * (scene.bs_side_sign if side is Side.REFLECTION
-                                       else -scene.bs_side_sign)
+    reflection = require_choice(side, Side, "side must be a Side") is Side.REFLECTION
+    normal_out = scene.panel.normal * (scene.bs_side_sign if reflection else -scene.bs_side_sign)
     probes = (scene.panel.center[None, :]
               + eval_radius * (np.sin(theta)[:, None] * axis[None, :]
                                + np.cos(theta)[:, None] * normal_out[None, :]))
@@ -198,7 +198,8 @@ def coverage_map(scene: Scene, layout: ElementLayout, table: StateTable,
     points = (scene.panel.center
               + xs[..., None] * scene.panel.normal
               + ys[..., None] * layout.u)
-    side, h = _field(scene, layout, table, config, points, workers=workers)
+    side, h = _field(scene, layout, table, config, points,
+                     workers=require_int("workers", workers, 1))
     snr = scene.tx_power_w * np.sum(np.abs(h) ** 2, axis=1) / scene.noise_power_w
     values = np.full((grid.nx, grid.ny), np.nan)
     values[side != 0] = np.log2(1.0 + snr)

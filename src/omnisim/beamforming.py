@@ -17,11 +17,11 @@ from functools import cached_property
 import numpy as np
 
 from .channel import (PASS_ENTRIES, ChannelGeometry, ChannelKernel, FadingModel,
-                      FadingRealization, Scene, _configuration_channels,
+                      FadingRealization, Scene, _configuration_channels, _gather,
                       channel_geometry, draw_realizations, ordered_sum)
 from .elements import Configuration, Granularity, StateTable
 from .errors import (RankDeficientChannelError, SearchSpaceError, TooManyUsersError,
-                     ValidationError, require_array, require_int, require_real)
+                     ValidationError, require_array, require_choice, require_int, require_real)
 from .geometry import ElementLayout, Side
 
 CONDITION_LIMIT = 1e12
@@ -182,38 +182,42 @@ class _UnitProblem:
     by :meth:`score` through its one kernel, exactly as ``sum_rate``
     scores them.  Under fading a candidate's objective is the ``math.fsum``
     average over the realizations, and it is degenerate if any channel is.
+    Only :meth:`__init__` reads the granularity: a unit is a group, its rows
+    its state table, or an element, its rows in ``ChannelKernel.table``.
     """
 
     def __init__(self, scene: Scene, layout: ElementLayout, table: StateTable,
                  granularity: Granularity, realizations=()):
+        kernel = self.kernel = ChannelKernel(channel_geometry(scene, layout),
+                                             table.coefficient_matrix, realizations)
+        # The units are the groups, in group order: prefix expansion applies.
+        self.grouped = require_choice(granularity, Granularity,
+                                      "granularity must be a Granularity") is Granularity.GROUP
+        groups = np.arange(layout.num_groups)[:, None]  # each group one unit
+        # The (G, m) units each group sums, each unit's group, and the unit rows.
+        self.members, self.group_of, self.rows = (
+            (groups, groups[:, 0], lambda: kernel.state_tables) if self.grouped
+            else (layout.members, layout.group_of, lambda: kernel.table))
         self.layout = layout
-        self.granularity = granularity
-        self.kernel = ChannelKernel(channel_geometry(scene, layout),
-                                    table.coefficient_matrix, realizations)
         self.powers = (scene.tx_power_w, scene.noise_power_w)
         self.num_states = table.num_states
-        self.num_units = (layout.num_groups if granularity is Granularity.GROUP
-                          else layout.num_elements)
+        self.num_units = self.members.size
         self.evaluations = 0
         self.degenerate_evaluations = 0
 
     def partials(self, unit_states: np.ndarray) -> np.ndarray:
         """(G, B, R, K, Nt) group partials for (B, units) candidate states."""
-        if self.granularity is Granularity.GROUP:
-            return self.kernel.group_state_partials(unit_states)
-        return self.kernel.element_partials(unit_states)
+        return _gather(self.rows(), self.members, unit_states[:, self.members])
 
     def flips(self, states: np.ndarray, units: np.ndarray,
               new_states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B,) groups and (B, R, K, Nt) partials of the one group each row
         changes: unit ``units[b]`` of ``states`` takes ``new_states[b]``."""
-        if self.granularity is Granularity.GROUP:
-            return units, self.kernel.state_tables[units, new_states]
-        groups = self.layout.group_of[units]
-        members = self.kernel.members[groups]  # (B, m)
+        groups = self.group_of[units]
+        members = self.members[groups]  # (B, m)
         member_states = states[members]
         member_states[members == units[:, None]] = new_states
-        return groups, self.kernel.partials(member_states[None], groups)[:, 0]
+        return groups, _gather(self.rows(), members, member_states[None])[:, 0]
 
     def score(self, partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B,) objectives and degenerate flags of the candidates with
@@ -233,8 +237,7 @@ class _UnitProblem:
     def block_depth(self) -> int:
         """The largest L whose P^L candidates fit one ``PASS_ENTRIES`` pass:
         their channels (group granularity) or group partials (element)."""
-        size = self.kernel.channel_size * (
-            1 if self.granularity is Granularity.GROUP else len(self.kernel.members))
+        size = self.kernel.channel_size * (1 if self.grouped else len(self.kernel.members))
         depth = 0
         while depth < self.num_units and self.num_states ** (depth + 1) * size <= PASS_ENTRIES:
             depth += 1
@@ -254,10 +257,11 @@ class _UnitProblem:
         (``ChannelKernel.product_channels``); at element granularity the
         indices are decoded and their partials gathered."""
         depth, digits = self.block_depth, self.digits
-        if self.granularity is Granularity.GROUP:
+        if self.grouped:
             prefix = (start // digits[:self.num_units - depth] % self.num_states)[:, None]
             free = [slice(None)] * depth  # every state, as a view of the group's table
-            return self.score_channels(self.kernel.product_channels([*prefix, *free]))
+            H = self.kernel.product_channels(self.rows(), [*prefix, *free])
+            return self.score_channels(H)
         candidates = np.arange(start, start + self.num_states ** depth)[:, None]
         return self.score(self.partials(candidates // digits % self.num_states))
 
@@ -267,8 +271,7 @@ class _UnitProblem:
         self.degenerate_evaluations += int(np.count_nonzero(degenerate))
 
     def outcome(self, unit_states, objective: float, trace) -> OptimizationOutcome:
-        config = (Configuration.from_group_states(self.layout, unit_states)
-                  if self.granularity is Granularity.GROUP
+        config = (Configuration.from_group_states(self.layout, unit_states) if self.grouped
                   else Configuration(states=tuple(unit_states)))
         return OptimizationOutcome(config=config, objective=objective, trace=tuple(trace),
                                    evaluations=self.evaluations,

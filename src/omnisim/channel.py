@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .elements import Configuration, StateTable
-from .errors import (InvalidSceneError, ValidationError, require_array, require_int,
-                     require_real)
+from .errors import (InvalidSceneError, ValidationError, require_array, require_choice,
+                     require_int, require_real)
 from .geometry import ElementLayout, PanelSpec, as_points, dot3
 
 SPEED_OF_LIGHT = 299792458.0
@@ -73,6 +73,9 @@ class Scene:
             object.__setattr__(self, name, require_real(name, getattr(self, name)))
         object.__setattr__(self, "element_factor_q",
                            require_real("element_factor_q", self.element_factor_q, 0.0))
+        for name in ("direct_path", "plane_wave_incidence"):
+            object.__setattr__(self, name, require_choice(getattr(self, name), bool,
+                                                          f"{name} must be a bool"))
         # Watts once per scene, so no dBm value overflows or underflows later.
         noise_dbm = noise_power(self.bandwidth_hz, self.noise_figure_db)
         for name, dbm in (("tx_power_w", self.tx_power_dbm), ("noise_power_w", noise_dbm)):
@@ -354,7 +357,7 @@ def draw_realizations(model: FadingModel, geometry: ChannelGeometry,
     return out
 
 
-PASS_ENTRIES = 2 ** 13    # products per pass of ChannelKernel._group_passes
+PASS_ENTRIES = 2 ** 13    # products per pass of _gather and ChannelKernel.state_tables
 TABLE_REALIZATIONS = 4    # realizations per pass in ChannelKernel.state_tables
 
 
@@ -373,6 +376,18 @@ def ordered_sum(terms: np.ndarray) -> np.ndarray:
     if terms[0].size < 2:
         return np.add.accumulate(terms, axis=0)[-1]
     return np.add.reduce(np.ascontiguousarray(terms), axis=0)
+
+
+def _gather(rows: np.ndarray, members: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """(g, B, R, K, Nt) :func:`ordered_sum` over the (g, m) unit ``members`` of
+    row u P + s of the (U, P, R, K, Nt) ``rows`` for unit u in its (B, g, m)
+    state s, in passes of groups with near PASS_ENTRIES products."""
+    step = max(1, PASS_ENTRIES // (states[:, 0].size * rows[0, 0].size))
+    if step < len(members):
+        return np.concatenate([_gather(rows, members[g:g + step], states[:, g:g + step])
+                               for g in range(0, len(members), step)])
+    index = members.T[..., None] * rows.shape[1] + states.T  # (m, g, B)
+    return ordered_sum(np.take(rows.reshape(-1, *rows.shape[2:]), index, axis=0))
 
 
 class ChannelKernel:
@@ -414,26 +429,8 @@ class ChannelKernel:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """(M P, R, K, Nt) products: row e P + s is element e in state s."""
-        products = self._products(np.arange(self.members.size)[None])
-        return products.reshape(-1, *products.shape[3:])
-
-    def partials(self, member_states: np.ndarray, groups) -> np.ndarray:
-        """(g, B, R, K, Nt) partials of ``groups`` (a slice, or indices that may
-        repeat) gathered from the table for (B, g, m) states of their members."""
-        rows = self.members[groups].T[..., None] * self.coefficients.shape[1]  # e P
-        return ordered_sum(np.take(self.table, rows + member_states.T, axis=0))
-
-    def _group_passes(self, rows: int, build) -> np.ndarray:
-        """``build(groups)`` over slices of groups with near PASS_ENTRIES products."""
-        step = max(1, PASS_ENTRIES // (rows * self.members.shape[1] * self.channel_size))
-        return np.concatenate([build(slice(g, g + step))
-                               for g in range(0, len(self.members), step)])
-
-    def element_partials(self, states: np.ndarray) -> np.ndarray:
-        """(G, B, R, K, Nt) group partials for (B, M) per-element states."""
-        return self._group_passes(len(states), lambda groups: self.partials(
-            states[:, self.members[groups]], groups))
+        """(M, P, R, K, Nt) products: element e in state s."""
+        return self._products(np.arange(self.members.size)[None])[0]
 
     @cached_property
     def state_tables(self) -> np.ndarray:
@@ -444,24 +441,19 @@ class ChannelKernel:
                 ChannelKernel(self.geometry, self.coefficients,
                               self.fading[i:i + TABLE_REALIZATIONS]).state_tables
                 for i in range(0, len(self.fading), TABLE_REALIZATIONS)], axis=2)
-        return self._group_passes(self.coefficients.shape[1], lambda groups: ordered_sum(
-            self._products(self.members[groups].T)))
+        step = max(1, PASS_ENTRIES // (self.coefficients.shape[1] * self.members.shape[1]
+                                       * self.channel_size))
+        return np.concatenate([ordered_sum(self._products(self.members[g:g + step].T))
+                               for g in range(0, len(self.members), step)])
 
-    def group_state_partials(self, group_states: np.ndarray) -> np.ndarray:
-        """(G, B, R, K, Nt) group partials for (B, G) per-group states."""
-        tables = self.state_tables  # rows g * P + s of the flat table
-        rows = group_states + tables.shape[1] * np.arange(len(tables))
-        return np.take(tables.reshape(-1, *tables.shape[2:]), rows.T, axis=0)
-
-    def product_channels(self, choices) -> np.ndarray:
+    def product_channels(self, tables: np.ndarray, choices) -> np.ndarray:
         """(B, R, K, Nt) channels of every candidate whose group g takes a state
         in ``choices[g]`` (indices, or a slice of the states), in lexicographic
-        order (group 0 most significant).
+        order (group 0 most significant), from the (G, P, R, K, Nt) ``tables``.
 
         The channels of :meth:`channels`, bitwise: the ordered group sum is
         expanded one group at a time, so each prefix's sum is made once.
         """
-        tables = self.state_tables
         H = tables[0, choices[0]]
         for table, states in zip(tables[1:], choices[1:]):
             H = (H[:, None] + table[states][None]).reshape(-1, *tables.shape[2:])
@@ -479,7 +471,8 @@ def _configuration_channels(geometry: ChannelGeometry, table: StateTable,
     without fading): the one checked path from a configuration to its channel."""
     config.validate_against(table, geometry)
     kernel = ChannelKernel(geometry, table.coefficient_matrix, fading)
-    return kernel.channels(kernel.element_partials(np.asarray(config.states)[None]))[0]
+    states = np.asarray(config.states)[kernel.members][None]  # (1, G, m)
+    return kernel.channels(_gather(kernel.table, kernel.members, states))[0]
 
 
 def assemble_channel(geometry: ChannelGeometry, table: StateTable,

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, require_ints, require_real
+from .errors import ValidationError, require_choice, require_int, require_ints, require_real
 from .geometry import Side
 
 TWO_PI = 2.0 * math.pi
@@ -56,10 +56,12 @@ class CoefficientPair:
                 object.__setattr__(self, name, require_real(name, getattr(self, name), 0.0, 1.0))
 
     def amplitude(self, side: Side) -> float:
-        return self.reflection_amp if side is Side.REFLECTION else self.refraction_amp
+        reflection = require_choice(side, Side, "side must be a Side") is Side.REFLECTION
+        return self.reflection_amp if reflection else self.refraction_amp
 
     def phase(self, side: Side) -> float:
-        return self.reflection_phase if side is Side.REFLECTION else self.refraction_phase
+        reflection = require_choice(side, Side, "side must be a Side") is Side.REFLECTION
+        return self.reflection_phase if reflection else self.refraction_phase
 
     def coefficient(self, side: Side) -> complex:
         return self.amplitude(side) * complex(math.cos(self.phase(side)),
@@ -77,7 +79,10 @@ class StateTable:
     states: tuple[CoefficientPair, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
+        try:
+            object.__setattr__(self, "states", tuple(self.states))
+        except TypeError:  # not iterable
+            raise ValidationError(f"state table must be iterable, got {self.states!r}") from None
         if len(self.states) < 1:
             raise ValidationError("state table must contain at least one state")
         if not all(isinstance(state, CoefficientPair) for state in self.states):
@@ -182,15 +187,14 @@ class Configuration:
         object.__setattr__(self, "states", require_ints("state index", self.states, 0))
         if len(self.states) == 0:
             raise ValidationError("configuration must cover at least one element")
-        if not isinstance(self.granularity, Granularity):
-            raise ValidationError(f"granularity must be a Granularity, got {self.granularity!r}")
+        require_choice(self.granularity, Granularity, "granularity must be a Granularity")
 
     def __len__(self) -> int:
         return len(self.states)
 
     @staticmethod
     def uniform(num_elements: int, state: int = 0) -> "Configuration":
-        return Configuration(states=(state,) * num_elements)
+        return Configuration(states=(state,) * require_int("num_elements", num_elements, 1))
 
     @staticmethod
     def from_group_states(layout, group_states) -> "Configuration":

@@ -93,6 +93,17 @@ def _holds_bool(value) -> bool:
     return isinstance(value, bool) or getattr(value, "dtype", None) == bool
 
 
+def require_choice(value, kind: type, message: str):
+    """``value`` as a member of ``kind``, an Enum class or ``bool`` (a numpy
+    bool reads as Python's); ValidationError "<message>, got <value>" for
+    anything else, so 1 is not True and "group" is not Granularity.GROUP."""
+    if kind is bool and isinstance(value, np.bool_):
+        return bool(value)
+    if not isinstance(value, kind):
+        raise ValidationError(f"{message}, got {value!r}")
+    return value
+
+
 def require_ints(name: str, values, minimum: int) -> tuple[int, ...]:
     """``values`` as a tuple of ints, each checked by :func:`require_int`, with
     its message; values that are all Python ints are checked in one scan."""

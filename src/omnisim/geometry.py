@@ -207,6 +207,8 @@ def build_layout(spec: PanelSpec) -> ElementLayout:
 def side_of(spec: PanelSpec, bs_position, point) -> Side:
     """Classify ``point`` as REFLECTION (BS half-space) or REFRACTION."""
     bs, point = as_vec3(bs_position, "BS position"), as_vec3(point, "point")
+    require_near(bs[None], "BS position")
+    require_near(point[None], "point")
     bs_side, point_side = spec.plane_side(np.array([bs, point]))
     if bs_side == 0:
         raise InvalidSceneError("BS lies in the panel plane; scene is invalid")

@@ -22,7 +22,7 @@ from importlib import resources
 
 from .channel import Scene
 from .elements import CoefficientPair, StateTable, validate_table
-from .errors import OmnisimError, ValidationError, require_int, require_real
+from .errors import OmnisimError, ValidationError, require_choice, require_int, require_real
 from .geometry import PanelSpec
 
 
@@ -50,9 +50,7 @@ def _integer(obj, path: str) -> int:
 
 
 def _boolean(obj, path: str) -> bool:
-    if not isinstance(obj, bool):
-        _fail(path, f"expected a boolean, got {obj!r}")
-    return obj
+    return require_choice(obj, bool, f"{path}: expected a boolean")
 
 
 def _vec3(obj, path: str) -> list[float]:

@@ -3,6 +3,7 @@ each input check and array conversion has one owner in ``errors``."""
 
 import ast
 import math
+from enum import Enum
 from functools import partial
 from pathlib import Path
 
@@ -11,9 +12,11 @@ import pytest
 
 import omnisim
 from omnisim import (CoefficientPair, Configuration, CoverageGrid, ElementLayout,
-                     FadingModel, LinkBudgetChain, PanelSpec, Scene, Side, StateTable,
-                     ValidationError, build_layout, friis_gain, noise_power, parse_scene_dict,
-                     quantize_phase, radiation_pattern, side_of, zf_precoder)
+                     FadingModel, Granularity, LinkBudgetChain, PanelSpec, Scene, Side,
+                     StateTable, ValidationError, build_layout, coverage_map,
+                     exhaustive_optimize, friis_gain, greedy_optimize, noise_power,
+                     parse_scene_dict, quantize_phase, radiation_pattern, random_baseline,
+                     side_of, statistical_optimize, zf_precoder)
 from omnisim.analysis import pattern_power
 
 MAX_PUBLIC_NAMES = 50  # ROADMAP: the public API gets smaller, not larger
@@ -32,6 +35,35 @@ def source_trees():
     for path in sorted(Path(omnisim.__file__).parent.glob("*.py")):
         if path.name != "errors.py":
             yield path.name, ast.parse(path.read_text(), str(path))
+
+
+def source_tree(name: str):
+    path = Path(omnisim.__file__).parent / name
+    return ast.parse(path.read_text(), str(path))
+
+
+def definition(tree, name: str):
+    """The class or function ``name`` defined directly in ``tree``'s body."""
+    return next(node for node in tree.body if getattr(node, "name", None) == name)
+
+
+def test_granularity_is_read_once():
+    """``beamforming`` names ``Granularity.GROUP`` and ``ELEMENT`` only in
+    ``_UnitProblem.__init__`` (and as the optimizers' defaults): the search
+    code reads units, and no method branches on the granularity again.  The
+    kernel has one gather, ``channel._gather``, and no ``*partials`` method."""
+    tree = source_tree("beamforming.py")
+    init = definition(definition(tree, "_UnitProblem"), "__init__")
+    allowed = {id(node) for node in ast.walk(init)}
+    allowed |= {id(node) for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                for default in function.args.defaults for node in ast.walk(default)}
+    offenders = [f"beamforming.py:{node.lineno}" for node in ast.walk(tree)
+                 if dotted(node) in ("Granularity.GROUP", "Granularity.ELEMENT")
+                 and id(node) not in allowed]
+    assert not offenders, f"granularity read outside _UnitProblem.__init__: {offenders}"
+    kernel = definition(source_tree("channel.py"), "ChannelKernel")
+    methods = [node.name for node in kernel.body if isinstance(node, ast.FunctionDef)]
+    assert not [name for name in methods if name.endswith("partials")], methods
 
 
 def test_integer_checks_have_one_owner():
@@ -132,14 +164,16 @@ def names(name: str):
 def test_point_checks_have_one_owner():
     """``geometry`` owns "a valid point": only it names ``FAR_M``, and its
     ``require_near`` runs where points enter, in ``as_points`` (BS antennas,
-    users, element positions) and in ``analysis._field`` (coverage cells,
-    pattern probes, the ``snr_at`` point), and nowhere again downstream."""
+    users, element positions), in ``side_of`` (its BS position and point)
+    and in ``analysis._field`` (coverage cells, pattern probes, the
+    ``snr_at`` point), and nowhere again downstream."""
     bounds, checks = set(), set()
     for name, tree in source_trees():
         bounds |= {name for _, _ in uses(tree, names("FAR_M"))}
         checks |= {(name, function) for function, _ in uses(tree, names("require_near"))}
     assert bounds == {"geometry.py"}
-    assert checks == {("geometry.py", "as_points"), ("analysis.py", "_field")}
+    assert checks == {("geometry.py", "as_points"), ("geometry.py", "side_of"),
+                      ("analysis.py", "_field")}
 
 
 def is_conversion(node) -> bool:
@@ -236,6 +270,82 @@ def test_every_real_input_refuses_what_is_not_a_real_number(site, value):
     REAL_SITES[site](1.0)  # the baseline is accepted
     with pytest.raises(ValidationError):
         REAL_SITES[site](value)
+
+
+def optimizer_inputs():
+    scene, layout, table, _ = pattern_inputs()
+    return scene, layout, table
+
+
+def boolean_option(value):
+    return parse_scene_dict({**scene_document(0.0), "options": {"direct_path": value}})
+
+
+# Every choice that errors.require_choice checks, as a call of one value, with
+# a member it accepts; a bool site also accepts numpy's bools.
+CHOICE_SITES = {
+    **{f"{search.__name__}.granularity": (
+        lambda v, search=search: search(*optimizer_inputs(), v), Granularity.GROUP)
+       for search in (greedy_optimize, exhaustive_optimize, random_baseline)},
+    "statistical_optimize.granularity": (lambda v: statistical_optimize(
+        *optimizer_inputs(), FadingModel(6.0), 2, 0, v), Granularity.ELEMENT),
+    "Configuration.granularity": (lambda v: Configuration(states=(0, 0), granularity=v),
+                                  Granularity.GROUP),
+    "CoefficientPair.amplitude": (lambda v: CoefficientPair(**PAIR).amplitude(v),
+                                  Side.REFRACTION),
+    "CoefficientPair.phase": (lambda v: CoefficientPair(**PAIR).phase(v), Side.REFLECTION),
+    "pattern_power.side": (lambda v: pattern_power(*pattern_inputs(), v, [0.0]),
+                           Side.REFLECTION),
+    "radiation_pattern.side": (lambda v: radiation_pattern(*pattern_inputs(), v, step_deg=30.0),
+                               Side.REFRACTION),
+    "quantize_phase.side": (lambda v: quantize_phase(
+        StateTable(states=(CoefficientPair(**PAIR),)), v, 0.1), Side.REFLECTION),
+    "Scene.direct_path": (partial(scene_with, "direct_path"), True),
+    "Scene.plane_wave_incidence": (partial(scene_with, "plane_wave_incidence"), True),
+    "scene_io._boolean": (boolean_option, False),
+}
+
+
+def not_members(member):
+    """A string (the member's own name), an int, None and, where no bool is
+    meant, a bool."""
+    yield "string", member.value if isinstance(member, Enum) else str(member).lower()
+    yield "int", int(member) if isinstance(member, bool) else 1
+    yield "None", None
+    if not isinstance(member, bool):
+        yield "bool", True
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{case}") for site, (_, member) in CHOICE_SITES.items()
+    for case, value in not_members(member)])
+def test_every_choice_refuses_what_is_not_a_member(site, value):
+    """A granularity, side or flag is its enum's member or a bool: the
+    member's string is not read as the member (nor as the other one), 1 is
+    not True, and None is not False."""
+    call, member = CHOICE_SITES[site]
+    call(member)  # the baseline is accepted
+    if isinstance(member, bool):
+        call(np.bool_(member))
+    with pytest.raises(ValidationError):
+        call(value)
+
+
+# Counts that errors.require_int checks at 1, as a call of one value.
+COUNT_SITES = {
+    "coverage_map.workers": lambda v: coverage_map(*pattern_inputs(), CoverageGrid(**GRID),
+                                                   workers=v),
+    "Configuration.uniform.num_elements": lambda v: Configuration.uniform(v, 0),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{value!r}") for site in COUNT_SITES
+    for value in (1.5, 0, -1, "2", True, None)])
+def test_every_count_refuses_what_is_not_a_count(site, value):
+    COUNT_SITES[site](2)  # the baseline is accepted
+    with pytest.raises(ValidationError, match="must be an integer of at least 1"):
+        COUNT_SITES[site](value)
 
 
 def layout_with_groups(group_of):

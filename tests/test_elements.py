@@ -99,6 +99,13 @@ class TestStateTable:
         with pytest.raises(ValidationError, match="entries must be CoefficientPair"):
             StateTable(states=states)
 
+    @pytest.mark.parametrize("states", [None, 1, 0.5])
+    def test_states_must_be_iterable(self, states):
+        """A value that is not iterable is refused as input, not met as
+        Python's TypeError from ``tuple``."""
+        with pytest.raises(ValidationError, match="state table must be iterable"):
+            StateTable(states=states)
+
 
 PANEL_ARGS = dict(center=[0, 0, 0], normal=[0, 0, 1.0], rows=2, cols=2,
                   dx=0.03, dy=0.03, group_rows=1, group_cols=1)

@@ -152,6 +152,17 @@ class TestSideOf:
         with pytest.raises(InvalidSceneError):
             side_of(self.spec, [0.1, 0.1, 0.0], [0, 0, 0.7])
 
+    @pytest.mark.parametrize("which", ["BS position", "point"])
+    def test_far_points_are_refused_by_name(self, which):
+        """A finite point beyond FAR_M is refused, named, before the plane
+        test's sum overflows (a RuntimeWarning, an error in this suite)."""
+        spec = PanelSpec(center=[0, 0, 0], normal=[0.6, 0, 0.8], rows=2, cols=2,
+                         dx=1, dy=1, group_rows=1, group_cols=1)
+        far, near = [1.7e308, 0, 1.7e308], [0, 0, 1.0]
+        bs, point = (far, near) if which == "BS position" else (near, far)
+        with pytest.raises(ValidationError, match=f"^{which}: point 0 at"):
+            side_of(spec, bs, point)
+
     @given(st.floats(min_value=1e-6, max_value=1e3),
            st.floats(min_value=0.0, max_value=50.0))
     def test_constant_along_outward_ray(self, start, travel):

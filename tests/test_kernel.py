@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
-                     PanelSpec, Scene, StateTable, build_layout,
+from omnisim import (CoefficientPair, Configuration, ElementLayout, FadingModel,
+                     Granularity, PanelSpec, Scene, StateTable, build_layout,
                      channel_geometry, evaluate_rates,
                      exhaustive_optimize, greedy_optimize, random_baseline,
                      relaxed_upper_bound, statistical_optimize, sum_rate)
-from omnisim import beamforming
+from omnisim import beamforming, channel
 from omnisim.beamforming import _UnitProblem
-from omnisim.channel import ChannelKernel, draw_realizations, ordered_sum
+from omnisim.channel import ChannelKernel, _gather, draw_realizations, ordered_sum
 from omnisim.geometry import dot3
 
 
@@ -246,18 +246,21 @@ class TestBatchInvariance:
 
 class TestProductTable:
     @given(scenes(), st.sampled_from([0, 1, 3, 5]), st.integers(1, 20),
-           st.integers(0, 2 ** 32 - 1))
-    @example(make_scene(7, 1, 1, 3, 1, 2, False), 5, 20, 0)
-    @example(make_scene(7, 1, 1, 1, 1, 3, True), 1, 1, 0)
-    @example(make_scene(3, 3, 3, 2, 1, 3, True), 3, 7, 0)
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([1, channel.PASS_ENTRIES]))
+    @example(make_scene(7, 1, 1, 3, 1, 2, False), 5, 20, 0, channel.PASS_ENTRIES)
+    @example(make_scene(7, 1, 1, 1, 1, 3, True), 1, 1, 0, channel.PASS_ENTRIES)
+    @example(make_scene(3, 3, 3, 2, 1, 3, True), 3, 7, 0, channel.PASS_ENTRIES)
     @settings(max_examples=60)
     def test_gathered_partials_equal_the_replaced_arithmetic(self, world, num_samples,
-                                                             size, seed):
-        """Partials gathered from the table (by a slice of groups, by an index
-        array that repeats groups, and per element), and the state tables,
-        have the bits of the arithmetic they replaced, with 0 realizations,
-        1, 3 and 5 (more than TABLE_REALIZATIONS).  The examples have
-        one-element groups; with K = Nt = 1 every product is a single entry."""
+                                                             size, seed, pass_entries):
+        """What the one gather sums from the element table (every group, a
+        slice of groups, and groups that repeat, each of its (B, m) member
+        states) and from the state tables (each group one unit in one state),
+        and the state tables themselves, have the bits of the arithmetic they
+        replaced, with 0 realizations, 1, 3 and 5 (more than
+        TABLE_REALIZATIONS), in one pass and one group per pass.  The
+        examples have one-element groups; with K = Nt = 1 every product is a
+        single entry."""
         scene, layout, table = world
         geometry = channel_geometry(scene, layout)
         realizations = ()
@@ -268,20 +271,27 @@ class TestProductTable:
         members = kernel.members
         gen = np.random.default_rng(seed)
         states = gen.integers(0, table.num_states, (size, layout.num_elements))
-        full = reference_partials(kernel, states[:, members], slice(None))
-        assert same_bits(kernel.element_partials(states), full)
         start = int(gen.integers(0, len(members)))
         part = slice(start, int(gen.integers(start + 1, len(members) + 1)))
-        assert same_bits(kernel.partials(states[:, members[part]], part),
-                         reference_partials(kernel, states[:, members[part]], part))
         groups = gen.integers(0, len(members), size)
         member_states = states[np.arange(size)[:, None], members[groups]][None]
-        assert same_bits(kernel.partials(member_states, groups),
-                         reference_partials(kernel, member_states, groups))
+        group_states = gen.integers(0, table.num_states, (size, len(members)))
+        units = np.arange(len(members))[:, None]  # each group one unit of the state tables
         every_state = np.broadcast_to(np.arange(table.num_states)[:, None, None],
                                       (table.num_states, *members.shape))
-        assert same_bits(kernel.state_tables,
-                         reference_partials(kernel, every_state, slice(None)))
+        with mock.patch.object(channel, "PASS_ENTRIES", pass_entries):
+            assert same_bits(_gather(kernel.table, members, states[:, members]),
+                             reference_partials(kernel, states[:, members], slice(None)))
+            assert same_bits(_gather(kernel.table, members[part], states[:, members[part]]),
+                             reference_partials(kernel, states[:, members[part]], part))
+            assert same_bits(_gather(kernel.table, members[groups], member_states),
+                             reference_partials(kernel, member_states, groups))
+            assert same_bits(kernel.state_tables,
+                             reference_partials(kernel, every_state, slice(None)))
+            assert same_bits(_gather(kernel.state_tables, units, group_states[:, units]),
+                             reference_partials(kernel, np.repeat(
+                                 group_states[:, :, None], members.shape[1], axis=2),
+                                 slice(None)))
 
 
 term_shapes = st.integers(1, 300).flatmap(
@@ -414,6 +424,26 @@ class TestPrefixExpansion:
         assert out.config.group_states(layout) == configs[first]
         assert out.evaluations == len(configs)
         assert out.degenerate_evaluations == sum(r.degenerate for r in results)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(3, 6),
+           st.sampled_from([2, 3]), st.booleans())
+    @example(1, 3, 5, 3, False)  # both searches read other bits if the elements are expanded
+    @example(5, 2, 4, 2, True)
+    @settings(max_examples=60, deadline=None)
+    def test_element_searches_on_permuted_one_element_groups(self, seed, nt, groups,
+                                                             num_states, direct_path):
+        """Element exhaustive and greedy on one-element groups whose
+        ``group_of`` is a permutation keep ``objective == sum_rate`` bitwise.
+        The channel sums the groups in group order and the units here are
+        elements, in another order: each group holds one unit, yet the units
+        are not the groups, so no prefix expansion may run."""
+        scene, base, table = make_scene(seed, nt, 1 + seed % nt, groups, 1, num_states,
+                                        direct_path)
+        group_of = np.random.default_rng(seed).permutation(groups)
+        layout = ElementLayout(positions=base.positions, group_of=group_of, u=base.u, v=base.v)
+        for search in (exhaustive_optimize, greedy_optimize):
+            out = search(scene, layout, table, Granularity.ELEMENT)
+            assert out.objective == sum_rate(scene, layout, table, out.config)
 
 
 class TestSpeculativeGreedy:
