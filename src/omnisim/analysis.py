@@ -9,14 +9,13 @@ u axis (local y).  All three compute the field through one path, ``_field``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import Scene, _direct_gains, _hop_gains, channel_geometry
 from .elements import Configuration, StateTable
-from .errors import (SideUndefinedError, ValidationError, require_array, require_choice,
-                     require_int, require_real)
+from .errors import (Record, SideUndefinedError, ValidationError, require_array,
+                     require_choice, require_int, require_real)
 from .geometry import PLANE_EPS, ElementLayout, Side, as_vec3, require_near
 
 # Points per pass of the field kernel: a pass's (points, M) temporaries (160 kB
@@ -25,44 +24,39 @@ CHUNK_POINTS = 32
 MIN_STEP_DEG = 180.0 / 2 ** 20  # at most 2^20 probes per side, as the exhaustive guard
 
 
-@dataclass(frozen=True, eq=False)
-class PatternSweep:
+class PatternSweep(Record):
     """One side's probe angles and their power in dB below the sweep's
     maximum; in-plane probe angles are dropped and counted in ``skipped``."""
 
-    angles_deg: np.ndarray
-    power_db: np.ndarray
-    side: Side
-    skipped: int
-
-    def __post_init__(self):
-        self.angles_deg.setflags(write=False)
-        self.power_db.setflags(write=False)
+    def __init__(self, angles_deg: np.ndarray, power_db: np.ndarray, side: Side, skipped: int):
+        angles_deg.setflags(write=False)
+        power_db.setflags(write=False)
+        object.__setattr__(self, "angles_deg", angles_deg)
+        object.__setattr__(self, "power_db", power_db)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "skipped", skipped)
 
     def peak_angle(self) -> float:
         return float(self.angles_deg[np.argmax(self.power_db)])
 
 
-@dataclass(frozen=True)
-class CoverageGrid:
+class CoverageGrid(Record, eq=True):
     """Rectangular cell grid in the panel-centred (normal, u) plane."""
 
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    nx: int
-    ny: int
-
-    def __post_init__(self):
-        for name in ("nx", "ny"):
-            object.__setattr__(self, name, require_int(f"grid {name}", getattr(self, name), 1))
-        for name in ("x0", "x1", "y0", "y1"):
-            object.__setattr__(self, name, require_real(f"grid {name}", getattr(self, name)))
-        if self.x1 < self.x0 or self.y1 < self.y0:
+    def __init__(self, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int):
+        nx, ny = require_int("grid nx", nx, 1), require_int("grid ny", ny, 1)
+        x0, x1, y0, y1 = (require_real(f"grid {name}", value) for name, value in (
+            ("x0", x0), ("x1", x1), ("y0", y0), ("y1", y1)))
+        if x1 < x0 or y1 < y0:
             raise ValidationError("grid extents must satisfy x1 >= x0, y1 >= y0")
         # np.linspace subtracts the extents, so their difference must be finite too.
-        require_real("grid span", max(self.x1 - self.x0, self.y1 - self.y0))
+        require_real("grid span", max(x1 - x0, y1 - y0))
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "y0", y0)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "ny", ny)
 
     @property
     def xs(self) -> np.ndarray:
@@ -73,17 +67,17 @@ class CoverageGrid:
         return np.linspace(self.y0, self.y1, self.ny)
 
 
-@dataclass(frozen=True, eq=False)
-class CoverageMap:
-    """Spectral efficiency per cell; masked in-plane cells hold NaN."""
+class CoverageMap(Record):
+    """Spectral efficiency per cell: ``values`` (nx, ny) in bits/s/Hz, NaN
+    where masked in-plane, and ``side`` (nx, ny) int, +1 reflection, -1
+    refraction, 0 masked."""
 
-    grid: CoverageGrid
-    values: np.ndarray  # (nx, ny) bits/s/Hz, NaN where masked
-    side: np.ndarray    # (nx, ny) int: +1 reflection, -1 refraction, 0 masked
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.side.setflags(write=False)
+    def __init__(self, grid: CoverageGrid, values: np.ndarray, side: np.ndarray):
+        values.setflags(write=False)
+        side.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "side", side)
 
 
 def _pattern_angles(step_deg: float) -> np.ndarray:

@@ -11,7 +11,6 @@ batch, so "exhaustive >= greedy" holds exactly, not just statistically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,7 +19,7 @@ from .channel import (PASS_ENTRIES, ChannelGeometry, ChannelKernel, FadingModel,
                       FadingRealization, Scene, _configuration_channels, _gather,
                       channel_geometry, draw_realizations, ordered_sum)
 from .elements import Configuration, Granularity, StateTable
-from .errors import (RankDeficientChannelError, SearchSpaceError, TooManyUsersError,
+from .errors import (RankDeficientChannelError, Record, SearchSpaceError, TooManyUsersError,
                      ValidationError, require_array, require_choice, require_int, require_real)
 from .geometry import ElementLayout, Side
 
@@ -34,15 +33,18 @@ CONVERGENCE_EPSILON = 1e-9
 BATCH = 256
 
 
-@dataclass(frozen=True, eq=False)
-class BeamformerResult:
-    """Zero-forcing precoder with unit-norm columns and equal stream powers."""
+class BeamformerResult(Record):
+    """Zero-forcing precoder, (Nt, K) with unit-norm columns, and equal stream
+    powers: ``power_allocation`` (K,) in linear W, ``per_user_rate`` (K,) in
+    bits/s/Hz, and ``column_norms`` (K,) of the raw pseudo-inverse."""
 
-    precoder: np.ndarray          # (Nt, K), unit-norm columns
-    power_allocation: np.ndarray  # (K,) linear W per stream
-    per_user_rate: np.ndarray     # (K,) bits/s/Hz
-    sum_rate: float
-    column_norms: np.ndarray      # (K,) norms of the raw pseudo-inverse columns
+    def __init__(self, precoder: np.ndarray, power_allocation: np.ndarray,
+                 per_user_rate: np.ndarray, sum_rate: float, column_norms: np.ndarray):
+        object.__setattr__(self, "precoder", precoder)
+        object.__setattr__(self, "power_allocation", power_allocation)
+        object.__setattr__(self, "per_user_rate", per_user_rate)
+        object.__setattr__(self, "sum_rate", sum_rate)
+        object.__setattr__(self, "column_norms", column_norms)
 
 
 def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
@@ -90,7 +92,7 @@ def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
                 np.where(accepted[..., None, None], stack, np.eye(k_users)))
             inverse_diag = np.moveaxis(inverse[..., users, users].real, -1, 0)
         rates = np.log2(1.0 + (total_power_w / k_users) / (noise_power_w * inverse_diag))
-    total = ordered_sum(rates)
+    total = ordered_sum(rates) if k_users > 1 else rates[0].copy()  # no view of rates
     degenerate = ~(accepted & np.isfinite(total))
     if degenerate.any():
         rates[:, degenerate] = 0.0
@@ -136,13 +138,13 @@ def zf_precoder(channel, total_power_w: float, noise_power_w: float) -> Beamform
                             column_norms=norms)
 
 
-@dataclass(frozen=True, eq=False)
-class RateResult:
+class RateResult(Record):
     """Sum rate of one configuration; degenerate marks a rank-failed channel."""
 
-    sum_rate: float
-    per_user_rate: np.ndarray
-    degenerate: bool
+    def __init__(self, sum_rate: float, per_user_rate: np.ndarray, degenerate: bool):
+        object.__setattr__(self, "sum_rate", sum_rate)
+        object.__setattr__(self, "per_user_rate", per_user_rate)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def evaluate_rates(scene: Scene, layout: ElementLayout, table: StateTable,
@@ -165,16 +167,18 @@ def sum_rate(scene: Scene, layout: ElementLayout, table: StateTable,
     return evaluate_rates(scene, layout, table, config).sum_rate
 
 
-@dataclass(frozen=True, eq=False)
-class OptimizationOutcome:
+class OptimizationOutcome(Record):
     """Chosen configuration with its objective, per-sweep trace, evaluation
     count and how many of those evaluations met a rank-deficient channel."""
 
-    config: Configuration
-    objective: float
-    trace: tuple[tuple[int, float], ...]
-    evaluations: int
-    degenerate_evaluations: int = 0
+    def __init__(self, config: Configuration, objective: float,
+                 trace: tuple[tuple[int, float], ...], evaluations: int,
+                 degenerate_evaluations: int = 0):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "evaluations", evaluations)
+        object.__setattr__(self, "degenerate_evaluations", degenerate_evaluations)
 
 
 class _UnitProblem:

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .elements import Configuration, StateTable
-from .errors import (InvalidSceneError, ValidationError, require_array, require_choice,
-                     require_int, require_real)
+from .errors import (InvalidSceneError, Record, ValidationError, require_array,
+                     require_choice, require_int, require_real)
 from .geometry import ElementLayout, PanelSpec, as_points, dot3
 
 SPEED_OF_LIGHT = 299792458.0
@@ -42,30 +41,35 @@ def db_to_linear(db: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True, eq=False)
-class Scene:
-    """Complete simulation world: panel, terminals, powers, model options."""
+class Scene(Record):
+    """Complete simulation world: panel, terminals (``bs_antennas`` (Nt, 3)
+    and ``users`` (K, 3), in metres), powers, model options.
 
-    frequency_hz: float
-    panel: PanelSpec
-    bs_antennas: np.ndarray  # (Nt, 3) metres
-    users: np.ndarray        # (K, 3) metres
-    tx_power_dbm: float
-    bandwidth_hz: float
-    noise_figure_db: float = 0.0
-    tx_gain_db: float = 0.0
-    rx_gain_db: float = 0.0
-    lna_gain_db: float = 0.0
-    direct_path: bool = False
-    plane_wave_incidence: bool = False
-    element_factor_q: float = 0.0
-    tx_power_w: float = field(init=False)
-    noise_power_w: float = field(init=False)
-    chain_gain: float = field(init=False)  # linear tx_gain_db + rx_gain_db + lna_gain_db
-    bs_side_sign: int = field(init=False)  # sign of the BS half-space; +1 along the normal
-    user_sides: np.ndarray = field(init=False)  # point_sides(users), read-only
+    Computed once: ``tx_power_w``, ``noise_power_w``, ``chain_gain`` (linear
+    tx_gain_db + rx_gain_db + lna_gain_db), ``bs_side_sign`` (sign of the BS
+    half-space; +1 along the normal) and the read-only ``user_sides``
+    (``point_sides(users)``).
+    """
 
-    def __post_init__(self):
+    def __init__(self, frequency_hz: float, panel: PanelSpec, bs_antennas: np.ndarray,
+                 users: np.ndarray, tx_power_dbm: float, bandwidth_hz: float,
+                 noise_figure_db: float = 0.0, tx_gain_db: float = 0.0,
+                 rx_gain_db: float = 0.0, lna_gain_db: float = 0.0, direct_path: bool = False,
+                 plane_wave_incidence: bool = False, element_factor_q: float = 0.0):
+        # Stored as given, then checked and replaced in place below.
+        object.__setattr__(self, "frequency_hz", frequency_hz)
+        object.__setattr__(self, "panel", panel)
+        object.__setattr__(self, "bs_antennas", bs_antennas)
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "tx_power_dbm", tx_power_dbm)
+        object.__setattr__(self, "bandwidth_hz", bandwidth_hz)
+        object.__setattr__(self, "noise_figure_db", noise_figure_db)
+        object.__setattr__(self, "tx_gain_db", tx_gain_db)
+        object.__setattr__(self, "rx_gain_db", rx_gain_db)
+        object.__setattr__(self, "lna_gain_db", lna_gain_db)
+        object.__setattr__(self, "direct_path", direct_path)
+        object.__setattr__(self, "plane_wave_incidence", plane_wave_incidence)
+        object.__setattr__(self, "element_factor_q", element_factor_q)
         for name in ("frequency_hz", "bandwidth_hz"):
             object.__setattr__(self, name, require_real(name, getattr(self, name), positive=True))
         for name in ("tx_power_dbm", "noise_figure_db", "tx_gain_db", "rx_gain_db",
@@ -155,22 +159,18 @@ def noise_power(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
             + require_real("noise_figure_db", noise_figure_db))
 
 
-@dataclass(frozen=True)
-class LinkBudgetChain:
+class LinkBudgetChain(Record, eq=True):
     """Transmit power plus an ordered list of named dB gains/losses."""
 
-    tx_power_dbm: float
-    items: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tx_power_dbm", require_real("tx_power_dbm", self.tx_power_dbm))
+    def __init__(self, tx_power_dbm: float, items: tuple[tuple[str, float], ...]):
+        object.__setattr__(self, "tx_power_dbm", require_real("tx_power_dbm", tx_power_dbm))
         try:
-            items = tuple((label, require_real(f"link budget item {label!r}", value))
-                          for label, value in self.items)
+            checked = tuple((label, require_real(f"link budget item {label!r}", value))
+                            for label, value in items)
         except (TypeError, ValueError):  # not iterable, or an item that is not a pair
             raise ValidationError(f"link budget items must be (label, dB) pairs, "
-                                  f"got {self.items!r}") from None
-        object.__setattr__(self, "items", items)
+                                  f"got {items!r}") from None
+        object.__setattr__(self, "items", checked)
 
 
 def link_budget(chain: LinkBudgetChain) -> float:
@@ -222,8 +222,7 @@ def _direct_gains(points: np.ndarray, sides: np.ndarray, scene: Scene) -> np.nda
     return direct
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelGeometry:
+class ChannelGeometry(Record):
     """Configuration-independent factors of the cascaded channel.
 
     ``bs_to_element`` is (Nt, M), ``element_to_user`` (K, M); ``direct`` is
@@ -233,17 +232,16 @@ class ChannelGeometry:
     fixes the order in which elements are summed.
     """
 
-    bs_to_element: np.ndarray
-    element_to_user: np.ndarray
-    user_side_index: np.ndarray
-    direct: np.ndarray | None
-    members: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.bs_to_element, self.element_to_user, self.user_side_index,
-                    self.direct, self.members):
+    def __init__(self, bs_to_element: np.ndarray, element_to_user: np.ndarray,
+                 user_side_index: np.ndarray, direct: np.ndarray | None, members: np.ndarray):
+        for arr in (bs_to_element, element_to_user, user_side_index, direct, members):
             if arr is not None:
                 arr.setflags(write=False)
+        object.__setattr__(self, "bs_to_element", bs_to_element)
+        object.__setattr__(self, "element_to_user", element_to_user)
+        object.__setattr__(self, "user_side_index", user_side_index)
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "members", members)
 
     @property
     def num_antennas(self) -> int:
@@ -305,16 +303,13 @@ def _build_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
         members=layout.members)
 
 
-@dataclass(frozen=True)
-class FadingModel:
+class FadingModel(Record, eq=True):
     """Rician small-scale overlay on each hop; infinite K disables fading."""
 
-    k_factor_db: float = math.inf
-
-    def __post_init__(self):
+    def __init__(self, k_factor_db: float = math.inf):
         # +inf (no fading) and -inf (Rayleigh) are valid
         object.__setattr__(self, "k_factor_db", require_real(
-            "k_factor_db", self.k_factor_db, -math.inf, math.inf))
+            "k_factor_db", k_factor_db, -math.inf, math.inf))
         if not self.is_degenerate:  # a finite K must have a finite linear value
             require_real("k_factor_db as a linear value", db_to_linear(self.k_factor_db), 0.0)
 
@@ -331,13 +326,15 @@ class FadingModel:
         return los + sigma * scatter
 
 
-@dataclass(frozen=True, eq=False)
-class FadingRealization:
-    """Per-hop multiplicative factors for one channel draw."""
+class FadingRealization(Record):
+    """Per-hop multiplicative factors for one channel draw: ``bs_to_element``
+    (Nt, M), ``element_to_user`` (K, M) and ``direct`` (K, Nt) or None."""
 
-    bs_to_element: np.ndarray   # (Nt, M)
-    element_to_user: np.ndarray  # (K, M)
-    direct: np.ndarray | None    # (K, Nt)
+    def __init__(self, bs_to_element: np.ndarray, element_to_user: np.ndarray,
+                 direct: np.ndarray | None):
+        object.__setattr__(self, "bs_to_element", bs_to_element)
+        object.__setattr__(self, "element_to_user", element_to_user)
+        object.__setattr__(self, "direct", direct)
 
 
 def draw_realizations(model: FadingModel, geometry: ChannelGeometry,
@@ -368,11 +365,11 @@ def ordered_sum(terms: np.ndarray) -> np.ndarray:
     numpy reduces the first axis of C-ordered terms of 2 or more entries one
     whole term at a time, so other layouts are copied to C order; it would
     sum one-entry terms pairwise, so those are accumulated.  The sum of one
-    term is a copy of it, as the reduce returns.  A property test pins this
-    undocumented order.
+    term is that term, a view of ``terms``: a caller that must not alias
+    them copies it.  A property test pins this undocumented order.
     """
     if len(terms) == 1:
-        return terms[0].copy()
+        return terms[0]
     if terms[0].size < 2:
         return np.add.accumulate(terms, axis=0)[-1]
     return np.add.reduce(np.ascontiguousarray(terms), axis=0)

@@ -8,13 +8,13 @@ radians and wrapped into [0, 2*pi); degrees belong at the file boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, require_choice, require_int, require_ints, require_real
+from .errors import (Record, ValidationError, require_choice, require_int, require_ints,
+                     require_real)
 from .geometry import Side
 
 TWO_PI = 2.0 * math.pi
@@ -23,37 +23,35 @@ TWO_PI = 2.0 * math.pi
 POWER_TOLERANCE = 0.005
 
 
-@dataclass(frozen=True)
-class CoefficientPair:
+class CoefficientPair(Record, eq=True, uncompared=("phases_wrapped",)):
     """One state's complex reflection and refraction response.
 
     Amplitudes are linear in [0, 1]; optional declared powers are the
     independently characterised |coefficient|^2 values used for
     cross-checking.  Passivity (r^2 + t^2 <= 1) is *reported* by
     :func:`validate_table`, not enforced here, so that violating tables can
-    still be inspected.
+    still be inspected.  ``phases_wrapped`` records whether a phase was
+    wrapped into [0, 2*pi); equality ignores it.
     """
 
-    reflection_amp: float
-    reflection_phase: float
-    refraction_amp: float
-    refraction_phase: float
-    declared_reflection_power: float | None = None
-    declared_refraction_power: float | None = None
-    phases_wrapped: bool = field(init=False, default=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("reflection_amp", "refraction_amp"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name), 0.0, 1.0))
-        wrapped_any = False
-        for name in ("reflection_phase", "refraction_phase"):
-            phase = require_real(name, getattr(self, name))
-            object.__setattr__(self, name, phase % TWO_PI)
-            wrapped_any = wrapped_any or getattr(self, name) != phase
-        object.__setattr__(self, "phases_wrapped", wrapped_any)
-        for name in ("declared_reflection_power", "declared_refraction_power"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, require_real(name, getattr(self, name), 0.0, 1.0))
+    def __init__(self, reflection_amp: float, reflection_phase: float, refraction_amp: float,
+                 refraction_phase: float, declared_reflection_power: float | None = None,
+                 declared_refraction_power: float | None = None):
+        reflection_amp = require_real("reflection_amp", reflection_amp, 0.0, 1.0)
+        refraction_amp = require_real("refraction_amp", refraction_amp, 0.0, 1.0)
+        phases = (require_real("reflection_phase", reflection_phase),
+                  require_real("refraction_phase", refraction_phase))
+        reflection_phase, refraction_phase = wrapped = tuple(phase % TWO_PI for phase in phases)
+        declared = [None if power is None else require_real(name, power, 0.0, 1.0)
+                    for name, power in (("declared_reflection_power", declared_reflection_power),
+                                        ("declared_refraction_power", declared_refraction_power))]
+        object.__setattr__(self, "reflection_amp", reflection_amp)
+        object.__setattr__(self, "reflection_phase", reflection_phase)
+        object.__setattr__(self, "refraction_amp", refraction_amp)
+        object.__setattr__(self, "refraction_phase", refraction_phase)
+        object.__setattr__(self, "declared_reflection_power", declared[0])
+        object.__setattr__(self, "declared_refraction_power", declared[1])
+        object.__setattr__(self, "phases_wrapped", wrapped != phases)
 
     def amplitude(self, side: Side) -> float:
         reflection = require_choice(side, Side, "side must be a Side") is Side.REFLECTION
@@ -72,22 +70,19 @@ class CoefficientPair:
         return self.reflection_amp ** 2 + self.refraction_amp ** 2
 
 
-@dataclass(frozen=True)
-class StateTable:
+class StateTable(Record, eq=True):
     """Ordered set of realisable states for every element of the panel."""
 
-    states: tuple[CoefficientPair, ...]
-
-    def __post_init__(self):
+    def __init__(self, states: tuple[CoefficientPair, ...]):
         try:
-            object.__setattr__(self, "states", tuple(self.states))
+            states = tuple(states)
         except TypeError:  # not iterable
-            raise ValidationError(f"state table must be iterable, got {self.states!r}") from None
-        if len(self.states) < 1:
+            raise ValidationError(f"state table must be iterable, got {states!r}") from None
+        if len(states) < 1:
             raise ValidationError("state table must contain at least one state")
-        if not all(isinstance(state, CoefficientPair) for state in self.states):
-            raise ValidationError(
-                f"state table entries must be CoefficientPair, got {self.states!r}")
+        if not all(isinstance(state, CoefficientPair) for state in states):
+            raise ValidationError(f"state table entries must be CoefficientPair, got {states!r}")
+        object.__setattr__(self, "states", states)
 
     @property
     def num_states(self) -> int:
@@ -105,26 +100,30 @@ class StateTable:
         )
 
 
-@dataclass(frozen=True)
-class StateValidation:
+class StateValidation(Record, eq=True):
     """Per-state findings: passivity, declared-power residuals, phase wrapping."""
 
-    index: int
-    power_sum: float
-    passivity_ok: bool
-    reflection_power_residual: float | None
-    refraction_power_residual: float | None
-    power_ok: bool
-    phases_wrapped: bool
+    def __init__(self, index: int, power_sum: float, passivity_ok: bool,
+                 reflection_power_residual: float | None,
+                 refraction_power_residual: float | None, power_ok: bool, phases_wrapped: bool):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "power_sum", power_sum)
+        object.__setattr__(self, "passivity_ok", passivity_ok)
+        object.__setattr__(self, "reflection_power_residual", reflection_power_residual)
+        object.__setattr__(self, "refraction_power_residual", refraction_power_residual)
+        object.__setattr__(self, "power_ok", power_ok)
+        object.__setattr__(self, "phases_wrapped", phases_wrapped)
 
     @property
     def ok(self) -> bool:
         return self.passivity_ok and self.power_ok
 
 
-@dataclass(frozen=True)
-class TableValidation:
-    entries: tuple[StateValidation, ...]
+class TableValidation(Record, eq=True):
+    """The findings of :func:`validate_table`: one entry per state, in table order."""
+
+    def __init__(self, entries: tuple[StateValidation, ...]):
+        object.__setattr__(self, "entries", entries)
 
     @property
     def passed(self) -> bool:
@@ -176,18 +175,15 @@ class Granularity(Enum):
     GROUP = "group"
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record, eq=True):
     """One state index per element (canonical, even under group granularity)."""
 
-    states: tuple[int, ...]
-    granularity: Granularity = Granularity.ELEMENT
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", require_ints("state index", self.states, 0))
+    def __init__(self, states: tuple[int, ...], granularity: Granularity = Granularity.ELEMENT):
+        object.__setattr__(self, "states", require_ints("state index", states, 0))
         if len(self.states) == 0:
             raise ValidationError("configuration must cover at least one element")
-        require_choice(self.granularity, Granularity, "granularity must be a Granularity")
+        object.__setattr__(self, "granularity", require_choice(
+            granularity, Granularity, "granularity must be a Granularity"))
 
     def __len__(self) -> int:
         return len(self.states)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all omnisim modules.
+"""Exception hierarchy shared by all omnisim modules, the input checks and
+the frozen record base.
 
 The CLI maps these onto exit codes: validation failures exit 2,
 numerical failures exit 3, guard refusals exit 4.
@@ -6,6 +7,8 @@ numerical failures exit 3, guard refusals exit 4.
 
 import contextlib
 import math
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 import numpy as np
 
@@ -111,3 +114,43 @@ def require_ints(name: str, values, minimum: int) -> tuple[int, ...]:
     if set(map(type, values)) == {int} and min(values) >= minimum:
         return values
     return tuple(require_int(name, value, minimum) for value in values)
+
+
+class Record:
+    """Base of the frozen records.  A record's ``__init__`` stores each field
+    once, in order, with ``object.__setattr__``; its repr lists them as a
+    dataclass's does, and setting or deleting any attribute raises
+    ``FrozenInstanceError``.  A record declared with ``eq=True`` compares
+    (to records of its own class) and hashes by its fields, except those
+    named in ``uncompared``; any other compares by identity.  A cached
+    property is no field."""
+
+    def __init_subclass__(cls, eq: bool = False, uncompared: tuple[str, ...] = ()):
+        super().__init_subclass__()
+        cls._not_fields = frozenset(name for name, member in vars(cls).items()
+                                    if isinstance(member, cached_property))
+        if eq:
+            cls._uncompared = cls._not_fields.union(uncompared)
+            cls.__eq__, cls.__hash__ = Record._equal, Record._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items()
+                           if name not in self._not_fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _compared(self) -> tuple:
+        return tuple(value for name, value in vars(self).items() if name not in self._uncompared)
+
+    def _equal(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()
+        return NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._compared())

@@ -12,14 +12,13 @@ parallel to x), and ``v = normal x u``.  Columns run along ``u`` with pitch
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (InvalidSceneError, SideUndefinedError, ValidationError, require_array,
-                     require_int, require_real)
+from .errors import (InvalidSceneError, Record, SideUndefinedError, ValidationError,
+                     require_array, require_int, require_real)
 
 Vec3 = np.ndarray  # shape (3,), float64
 
@@ -68,6 +67,13 @@ def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
 
 
+def cross3(a: Vec3, b: Vec3) -> Vec3:
+    """``a x b`` of two 3-vectors: ``np.cross``'s multiplies and subtractions,
+    bit for bit, on Python floats, without its per-call set-up."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 class Side(Enum):
     """Half-space relative to the panel; REFLECTION is the side holding the BS."""
 
@@ -75,24 +81,15 @@ class Side(Enum):
     REFRACTION = "refraction"
 
 
-@dataclass(frozen=True, eq=False)
-class PanelSpec:
+class PanelSpec(Record):
     """Placement and tiling of the element lattice: ``rows x cols`` elements
     at pitches ``dx`` (along u) and ``dy`` (along v), tiled into groups of
     ``group_rows x group_cols``."""
 
-    center: Vec3
-    normal: Vec3
-    rows: int
-    cols: int
-    dx: float
-    dy: float
-    group_rows: int
-    group_cols: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vec3(self.center, "panel center"))
-        normal = as_vec3(self.normal, "panel normal")
+    def __init__(self, center: Vec3, normal: Vec3, rows: int, cols: int, dx: float, dy: float,
+                 group_rows: int, group_cols: int):
+        center = as_vec3(center, "panel center")
+        normal = as_vec3(normal, "panel normal")
         with np.errstate(over="ignore"):  # a huge component reads |n| = inf
             norm = np.sqrt(dot3(normal, normal))
         if abs(norm - 1.0) > UNIT_EPS:
@@ -100,16 +97,21 @@ class PanelSpec:
                 f"panel normal must be unit length within {UNIT_EPS}, "
                 f"got |n| = {norm!r}"
             )
+        rows, cols, group_rows, group_cols = (
+            require_int(f"panel {name}", value, 1) for name, value in (
+                ("rows", rows), ("cols", cols), ("group_rows", group_rows),
+                ("group_cols", group_cols)))
+        for name, count, size in (("rows", rows, group_rows), ("cols", cols, group_cols)):
+            if count % size:
+                raise ValidationError(f"{name} ({count}) not divisible by group_{name} ({size})")
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "normal", normal)
-        for name in ("rows", "cols", "group_rows", "group_cols"):
-            object.__setattr__(self, name, require_int(f"panel {name}", getattr(self, name), 1))
-        for count, size in (("rows", "group_rows"), ("cols", "group_cols")):
-            if getattr(self, count) % getattr(self, size):
-                raise ValidationError(f"{count} ({getattr(self, count)}) not divisible by "
-                                      f"{size} ({getattr(self, size)})")
-        for name in ("dx", "dy"):
-            object.__setattr__(self, name,
-                               require_real(f"panel {name}", getattr(self, name), positive=True))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "dx", require_real("panel dx", dx, positive=True))
+        object.__setattr__(self, "dy", require_real("panel dy", dy, positive=True))
+        object.__setattr__(self, "group_rows", group_rows)
+        object.__setattr__(self, "group_cols", group_cols)
 
     @property
     def num_elements(self) -> int:
@@ -125,7 +127,7 @@ class PanelSpec:
             if length > 1e-6:
                 break
         u /= length
-        v = np.cross(n, u)
+        v = cross3(n, u)
         v /= np.sqrt(dot3(v, v))
         for axis in (u, v):
             axis.setflags(write=False)
@@ -139,24 +141,19 @@ class PanelSpec:
         return (d > PLANE_EPS).astype(np.int8) - (d < -PLANE_EPS)
 
 
-@dataclass(frozen=True, eq=False)
-class ElementLayout:
-    """Element centres (row-major), group membership, and the panel basis.
+class ElementLayout(Record):
+    """Element centres (``positions``, (M, 3), row-major), group membership
+    (``group_of``, (M,) int), and the panel basis.
 
     Groups 0..G-1 all hold the same number m of elements: searches and
     channels work on the (G, m) ``members`` array.
     """
 
-    positions: np.ndarray  # (M, 3)
-    group_of: np.ndarray   # (M,) int
-    u: Vec3
-    v: Vec3
-
-    def __post_init__(self):
+    def __init__(self, positions: np.ndarray, group_of: np.ndarray, u: Vec3, v: Vec3):
         # Frozen copies, so the caller's arrays stay writable and a write to
         # them cannot reach a cached channel geometry.
-        positions = as_points(self.positions, "layout positions")
-        group_of = require_array(self.group_of, "group indices must be non-negative integers",
+        positions = as_points(positions, "layout positions")
+        group_of = require_array(group_of, "group indices must be non-negative integers",
                                  np.int64)
         if group_of.shape != positions.shape[:1]:
             raise ValidationError("a layout needs one group index per position")
@@ -168,8 +165,8 @@ class ElementLayout:
         group_of.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "group_of", group_of)
-        object.__setattr__(self, "u", as_vec3(self.u, "layout u"))
-        object.__setattr__(self, "v", as_vec3(self.v, "layout v"))
+        object.__setattr__(self, "u", as_vec3(u, "layout u"))
+        object.__setattr__(self, "v", as_vec3(v, "layout v"))
 
     @property
     def num_elements(self) -> int:

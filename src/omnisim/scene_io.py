@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 from .channel import Scene
 from .elements import CoefficientPair, StateTable, validate_table
-from .errors import OmnisimError, ValidationError, require_choice, require_int, require_real
+from .errors import (OmnisimError, Record, ValidationError, require_choice, require_int,
+                     require_real)
 from .geometry import PanelSpec
 
 
@@ -114,13 +114,13 @@ _SCENE = {
 _parse_document = _block(_SCENE)
 
 
-@dataclass(frozen=True, eq=False)
-class ParsedScene:
+class ParsedScene(Record):
     """Validated domain objects plus the canonical (defaults-resolved) dict."""
 
-    scene: Scene
-    table: StateTable
-    raw: dict
+    def __init__(self, scene: Scene, table: StateTable, raw: dict):
+        object.__setattr__(self, "scene", scene)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "raw", raw)
 
     @property
     def panel(self) -> PanelSpec:

@@ -2,22 +2,31 @@
 each input check and array conversion has one owner in ``errors``."""
 
 import ast
+import copy
+import dataclasses
+import inspect
 import math
+import subprocess
+import sys
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import omnisim
-from omnisim import (CoefficientPair, Configuration, CoverageGrid, ElementLayout,
-                     FadingModel, Granularity, LinkBudgetChain, PanelSpec, Scene, Side,
-                     StateTable, ValidationError, build_layout, coverage_map,
+from omnisim import (BeamformerResult, ChannelGeometry, CoefficientPair, Configuration,
+                     CoverageGrid, CoverageMap, ElementLayout, FadingModel, Granularity,
+                     LinkBudgetChain, OptimizationOutcome, PanelSpec, ParsedScene,
+                     PatternSweep, RateResult, Scene, Side, StateTable, ValidationError,
+                     build_layout, channel_geometry, coverage_map, evaluate_rates,
                      exhaustive_optimize, friis_gain, greedy_optimize, noise_power,
                      parse_scene_dict, quantize_phase, radiation_pattern, random_baseline,
-                     side_of, statistical_optimize, zf_precoder)
+                     side_of, statistical_optimize, validate_table, zf_precoder)
 from omnisim.analysis import pattern_power
+from omnisim.channel import FadingRealization, draw_realizations
+from omnisim.elements import StateValidation, TableValidation
 
 MAX_PUBLIC_NAMES = 50  # ROADMAP: the public API gets smaller, not larger
 
@@ -401,3 +410,193 @@ def test_every_array_input_refuses_what_is_not_an_array_of_numbers(site, value):
     call(accepted)  # the baseline is accepted
     with pytest.raises(ValidationError):
         call(value)
+
+
+def record_samples():
+    """One instance of each of the 19 records, built as callers build them."""
+    scene, layout, table, config = pattern_inputs()
+    geometry = channel_geometry(scene, layout)
+    grid = CoverageGrid(**GRID)
+    return {
+        PanelSpec: scene.panel, ElementLayout: layout, Scene: scene,
+        CoefficientPair: table.states[0], StateTable: table,
+        StateValidation: validate_table(table).entries[0], TableValidation: validate_table(table),
+        Configuration: config, LinkBudgetChain: LinkBudgetChain(1.0, (("cable", -2.0),)),
+        ChannelGeometry: geometry, FadingModel: FadingModel(6.0),
+        FadingRealization: draw_realizations(FadingModel(6.0), geometry, 0, 1)[0],
+        BeamformerResult: zf_precoder(np.ones((1, 2)), 1.0, 1.0),
+        RateResult: evaluate_rates(scene, layout, table, config),
+        OptimizationOutcome: greedy_optimize(scene, layout, table),
+        PatternSweep: radiation_pattern(scene, layout, table, config, Side.REFLECTION,
+                                        step_deg=30.0),
+        CoverageGrid: grid, CoverageMap: coverage_map(scene, layout, table, config, grid),
+        ParsedScene: parse_scene_dict(scene_document(0.0)),
+    }
+
+
+REQUIRED = inspect.Parameter.empty
+SCENE_DEFAULTS = dict(noise_figure_db=0.0, tx_gain_db=0.0, rx_gain_db=0.0, lna_gain_db=0.0,
+                      direct_path=False, plane_wave_incidence=False, element_factor_q=0.0)
+
+# Each record: its constructor's parameters with their defaults, the fields it
+# computes itself (after the parameters in its repr), the fields it does
+# not compare (None: it compares by identity), and its cached properties.
+RECORDS = {
+    PanelSpec: (dict.fromkeys(("center", "normal", "rows", "cols", "dx", "dy", "group_rows",
+                               "group_cols"), REQUIRED), (), None, {"basis"}),
+    ElementLayout: (dict.fromkeys(("positions", "group_of", "u", "v"), REQUIRED), (), None,
+                    {"members"}),
+    Scene: ({**dict.fromkeys(("frequency_hz", "panel", "bs_antennas", "users", "tx_power_dbm",
+                              "bandwidth_hz"), REQUIRED), **SCENE_DEFAULTS},
+            ("tx_power_w", "noise_power_w", "chain_gain", "bs_side_sign", "user_sides"), None,
+            set()),
+    CoefficientPair: ({**dict.fromkeys(("reflection_amp", "reflection_phase", "refraction_amp",
+                                        "refraction_phase"), REQUIRED),
+                       "declared_reflection_power": None, "declared_refraction_power": None},
+                      ("phases_wrapped",), {"phases_wrapped"}, set()),
+    StateTable: ({"states": REQUIRED}, (), set(), {"coefficient_matrix"}),
+    StateValidation: (dict.fromkeys(("index", "power_sum", "passivity_ok",
+                                     "reflection_power_residual", "refraction_power_residual",
+                                     "power_ok", "phases_wrapped"), REQUIRED), (), set(), set()),
+    TableValidation: ({"entries": REQUIRED}, (), set(), set()),
+    Configuration: ({"states": REQUIRED, "granularity": Granularity.ELEMENT}, (), set(), set()),
+    LinkBudgetChain: ({"tx_power_dbm": REQUIRED, "items": REQUIRED}, (), set(), set()),
+    ChannelGeometry: (dict.fromkeys(("bs_to_element", "element_to_user", "user_side_index",
+                                     "direct", "members"), REQUIRED), (), None, set()),
+    FadingModel: ({"k_factor_db": math.inf}, (), set(), set()),
+    FadingRealization: (dict.fromkeys(("bs_to_element", "element_to_user", "direct"),
+                                      REQUIRED), (), None, set()),
+    BeamformerResult: (dict.fromkeys(("precoder", "power_allocation", "per_user_rate",
+                                      "sum_rate", "column_norms"), REQUIRED), (), None, set()),
+    RateResult: (dict.fromkeys(("sum_rate", "per_user_rate", "degenerate"), REQUIRED), (), None,
+                 set()),
+    OptimizationOutcome: ({**dict.fromkeys(("config", "objective", "trace", "evaluations"),
+                                           REQUIRED), "degenerate_evaluations": 0},
+                          (), None, set()),
+    PatternSweep: (dict.fromkeys(("angles_deg", "power_db", "side", "skipped"), REQUIRED), (),
+                   None, set()),
+    CoverageGrid: (dict.fromkeys(("x0", "x1", "y0", "y1", "nx", "ny"), REQUIRED), (), set(),
+                   set()),
+    CoverageMap: (dict.fromkeys(("grid", "values", "side"), REQUIRED), (), None, set()),
+    ParsedScene: (dict.fromkeys(("scene", "table", "raw"), REQUIRED), (), None, set()),
+}
+
+
+def record_fields(cls):
+    parameters, computed, *_ = RECORDS[cls]
+    return [*parameters, *computed]
+
+
+@pytest.fixture(scope="module")
+def samples():
+    return record_samples()
+
+
+record_classes = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+
+
+def test_every_record_is_listed():
+    assert len(RECORDS) == 19 and set(RECORDS) == set(record_samples())
+
+
+@record_classes
+def test_record_constructor_parameters(cls):
+    """Names, order, kinds and defaults of each record's constructor."""
+    parameters = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.default) for p in parameters] == list(RECORDS[cls][0].items())
+    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+@record_classes
+def test_record_holds_its_fields_and_lists_them_in_its_repr(cls, samples):
+    record = samples[cls]
+    assert type(record) is cls
+    fields = record_fields(cls)
+    held = list(vars(record))  # the fields, then any cached member computed so far
+    assert held[:len(fields)] == fields and set(held[len(fields):]) <= RECORDS[cls][3]
+    assert repr(record) == (f"{cls.__qualname__}("
+                            + ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+                            + ")")
+
+
+def test_record_reprs_read_as_before():
+    pair = CoefficientPair(**PAIR)
+    assert repr(pair) == ("CoefficientPair(reflection_amp=0.5, reflection_phase=0.1, "
+                          "refraction_amp=0.5, refraction_phase=0.2, "
+                          "declared_reflection_power=None, declared_refraction_power=None, "
+                          "phases_wrapped=False)")
+    assert repr(Configuration((0, 1), Granularity.GROUP)) == (
+        "Configuration(states=(0, 1), granularity=<Granularity.GROUP: 'group'>)")
+    assert repr(FadingModel()) == "FadingModel(k_factor_db=inf)"
+    assert repr(validate_table(StateTable((pair,)))) == (
+        "TableValidation(entries=(StateValidation(index=0, power_sum=0.5, passivity_ok=True, "
+        "reflection_power_residual=None, refraction_power_residual=None, power_ok=True, "
+        "phases_wrapped=False),))")
+
+
+@record_classes
+def test_record_equality_and_hash(cls, samples):
+    """Value records compare and hash by their compared fields, in order,
+    and refuse other types; the rest compare by identity."""
+    record = samples[cls]
+    twin = copy.copy(record)
+    uncompared = RECORDS[cls][2]
+    if uncompared is None:
+        assert record == record and record != twin
+        assert hash(record) == object.__hash__(record)
+        return
+    compared = [name for name in record_fields(cls) if name not in uncompared]
+    assert record == twin and hash(record) == hash(twin)
+    assert hash(record) == hash(tuple(getattr(record, name) for name in compared))
+    assert record.__eq__(object()) is NotImplemented and record != object()
+    for name in record_fields(cls):
+        changed = copy.copy(record)
+        object.__setattr__(changed, name, "changed")
+        assert (changed == record) is (name in uncompared), name
+
+
+def test_phases_wrapped_is_not_compared():
+    wrapped = CoefficientPair(**{**PAIR, "reflection_phase": 0.1 + 2 * math.pi})
+    plain = CoefficientPair(**{**PAIR, "reflection_phase": wrapped.reflection_phase})
+    assert wrapped.phases_wrapped and not plain.phases_wrapped
+    assert wrapped == plain and hash(wrapped) == hash(plain)
+
+
+@record_classes
+def test_records_are_frozen(cls, samples):
+    record = samples[cls]
+    for name in [*record_fields(cls), "unknown"]:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+            delattr(record, name)
+    assert all(name in vars(record) for name in record_fields(cls))
+
+
+@record_classes
+def test_record_cached_properties(cls):
+    """Each cached member is computed once per record and is neither a field
+    nor part of the repr or the comparison."""
+    cached = {name for name, member in vars(cls).items() if isinstance(member, cached_property)}
+    assert cached == RECORDS[cls][3]
+    record, other = record_samples()[cls], record_samples()[cls]
+    before = repr(record)
+    for name in sorted(cached):
+        assert getattr(record, name) is getattr(record, name)
+        assert name in vars(record)
+    assert repr(record) == before
+    if RECORDS[cls][2] is not None:
+        assert record == other
+
+
+def test_records_are_built_without_dataclass():
+    """No record runs ``dataclasses.dataclass`` at import: its generated
+    methods cost every process start-up."""
+    run = ("import dataclasses\n"
+           "def refuse(*args, **kwargs):\n"
+           "    raise AssertionError('dataclasses.dataclass called')\n"
+           "dataclasses.dataclass = refuse\n"
+           "import omnisim.cli\n"
+           "print('imported')")
+    child = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True)
+    assert child.stdout.split() == ["imported"], child.stderr

@@ -171,6 +171,7 @@ class TestZeroForcingAcceptance:
     def check(self, channels, expected):
         H = np.array(channels, dtype=complex)
         rates, total, degenerate = _zero_forcing(H, 2.0, 0.5)
+        assert not np.shares_memory(total, rates)
         old, _ = condition_array_rule(H, 2.0, 0.5)
         assert degenerate.tolist() == expected == old.tolist()
         assert (rates[degenerate] == 0.0).all() and (total[degenerate] == 0.0).all()

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from omnisim import (InvalidSceneError, PanelSpec, Side, SideUndefinedError,
                      ValidationError, build_layout, side_of)
-from omnisim.geometry import FAR_M, as_points, dot3
+from omnisim.geometry import FAR_M, as_points, cross3, dot3
 
 UNIT_Z = np.array([0.0, 0.0, 1.0])
 
@@ -108,6 +108,13 @@ def test_dot3_is_the_left_fold(rows, b):
     got = dot3(np.array(rows), np.array(b))
     want = np.array([(a[0] * b[0] + a[1] * b[1]) + a[2] * b[2] for a in rows])
     assert got.tobytes() == want.tobytes()
+
+
+@given(*[st.tuples(*[COORDINATES] * 3)] * 2)
+def test_cross3_is_np_cross(a, b):
+    """``cross3`` has ``np.cross``'s bits, signed zeros included."""
+    a, b = np.array(a), np.array(b)
+    assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 BEYOND = st.floats(min_value=FAR_M, exclude_min=True, allow_infinity=False)

@@ -311,7 +311,8 @@ class TestOrderedSum:
         the bits of the strict left fold: this pins the order in which numpy
         reduces, which it does not document.  The examples are one-entry
         terms, which numpy sums pairwise, and terms whose first axis is not
-        the outermost in memory (F order, every other entry)."""
+        the outermost in memory (F order, every other entry).  The sum of
+        one term is a view of it; any other sum is a new array."""
         gen = np.random.default_rng(seed)
 
         def values(*dims):  # mixed magnitudes, so the order of the adds shows
@@ -321,7 +322,9 @@ class TestOrderedSum:
         if dtype is np.complex128:
             terms = terms + 1j * values(count, *shape, 2)
         terms = terms[..., 1] if layout == "strided" else terms[..., 1].copy(order=layout)
-        assert same_bits(ordered_sum(terms), strict_fold(terms))
+        total = ordered_sum(terms)
+        assert same_bits(total, strict_fold(terms))
+        assert np.shares_memory(total, terms) is (count == 1)
 
 
 class TestRandomBaseline:

@@ -27,8 +27,13 @@ The part "prototype field" hashes the field path's outputs on the prototype:
 the bytes of a 21 x 21 coverage CSV and PGM at 1 and 2 threads and of a 1
 degree pattern CSV of both sides, and the ``repr`` of ``snr_at`` at 10
 points under a random element configuration, with and without the direct
-path and a cos^1 element factor.  The total digest leaves this part out, so
-it stays comparable with totals printed before the part existed.
+path and a cos^1 element factor.  The part "CLI outputs" hashes the bytes
+the CLI serializes outcomes and configurations into: ``oracle`` stdout and
+the ``simulate`` reports of greedy and exhaustive group search on the
+prototype, each run in a temporary directory on a copy of the scene named
+``scene.json``, so the bytes do not depend on where the checkout is.  The
+total digest leaves both parts out, so it stays comparable with totals
+printed before they existed.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import copy
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -58,7 +64,7 @@ ORACLE_SCENES = 60  # per seed, as one benchmark round
 ORACLE_FADING_SAMPLES = 3  # statistical search on the scenes of the first seed
 SNR_POINTS = 10    # per scene of the field part
 PARTS = ("prototype searches", "oracle searches", "oracle bounds", "oracle statistical",
-         "prototype field")
+         "prototype field", "CLI outputs")
 
 
 def outcome_text(outcome) -> str:
@@ -115,10 +121,13 @@ def oracle_lines():
                 yield line, {"oracle statistical": line}
 
 
-def run_cli(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def run_cli(*argv: str) -> str:
+    """Run one CLI command in-process; returns its standard output."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         if cli_main(list(argv)) != 0:
             raise SystemExit(f"omnisim {' '.join(argv)} failed")
+    return stdout.getvalue()
 
 
 def artifact_lines():
@@ -156,13 +165,32 @@ def field_lines():
             yield None, {"prototype field": f"snr_at {tag} {point.tolist()!r} {snr!r}"}
 
 
+def cli_lines():
+    """Lines of the "CLI outputs" part, which the total leaves out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copyfile(om.prototype_scene_path(), Path(tmp, "scene.json"))
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            outputs = {"oracle stdout": run_cli("oracle", "--config", "scene.json").encode()}
+            for optimizer in ("greedy", "exhaustive"):
+                run_cli("simulate", "--config", "scene.json", "--optimizer", optimizer,
+                        "--granularity", "group", "--out", "report.json")
+                outputs[f"simulate {optimizer} group"] = Path(tmp, "report.json").read_bytes()
+        finally:
+            os.chdir(home)
+    for name, data in outputs.items():
+        yield None, {"CLI outputs": f"{name} {hashlib.sha256(data).hexdigest()}"}
+
+
 def main() -> None:
     """The total hashes every line as it always has, so its digest stays
     comparable across versions of this script; each part hashes its own, and
     lines of no total (None) only their part."""
     total = hashlib.sha256()
     parts = {name: hashlib.sha256() for name in PARTS}
-    for line, part_lines in (*prototype_lines(), *oracle_lines(), *field_lines()):
+    for line, part_lines in (*prototype_lines(), *oracle_lines(), *field_lines(),
+                             *cli_lines()):
         if line is not None:
             total.update(line.encode() + b"\n")
         for name, part_line in part_lines.items():
