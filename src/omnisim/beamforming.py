@@ -11,6 +11,7 @@ batch, so "exhaustive >= greedy" holds exactly, not just statistically.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +32,10 @@ CONVERGENCE_EPSILON = 1e-9
 # Candidates per kernel call in random search; bounds the temporaries
 # (README: how a configuration is scored).
 BATCH = 256
+
+# geometry -> {(coefficient bytes, grouped): _UnitProblem.scored_space}, weak
+# on the geometry, so an entry lives as long as its scene and layout.
+_SCORED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class BeamformerResult(Record):
@@ -188,6 +193,8 @@ class _UnitProblem:
     average over the realizations, and it is degenerate if any channel is.
     Only :meth:`__init__` reads the granularity: a unit is a group, its rows
     its state table, or an element, its rows in ``ChannelKernel.table``.
+    A whole space that fits one :meth:`score_block` is scored once per
+    geometry, table and granularity (:meth:`scored_space`).
     """
 
     def __init__(self, scene: Scene, layout: ElementLayout, table: StateTable,
@@ -269,6 +276,21 @@ class _UnitProblem:
         candidates = np.arange(start, start + self.num_states ** depth)[:, None]
         return self.score(self.partials(candidates // digits % self.num_states))
 
+    def scored_space(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`score_block` of the whole space, which fits one block;
+        without fading, kept read-only for exhaustive and greedy search of
+        the same scene, never for ``sum_rate``."""
+        if self.kernel.fading:
+            return self.score_block(0)
+        spaces = _SCORED.setdefault(self.kernel.geometry, {})
+        key = (self.kernel.coefficients.tobytes(), self.grouped)
+        scored = spaces.get(key)
+        if scored is None:
+            scored = spaces[key] = self.score_block(0)
+            for array in scored:
+                array.setflags(write=False)
+        return scored
+
     def count(self, degenerate: np.ndarray) -> None:
         """Add the candidates with these degenerate flags to the evaluations."""
         self.evaluations += len(degenerate)
@@ -286,36 +308,29 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
     """One-at-a-time coordinate ascent over unit states, from all zeros.
 
     Each unit keeps its current state on ties; among strictly better states
-    the lowest index wins.  The other states of a window of the next units
-    are scored as one batch against the current state: the first unit that
-    improves moves, the rows after it are dropped uncounted, and the next
-    window starts after it.  Scores do not depend on the batch, so this is
-    exactly the unit-by-unit search.
-
-    When the whole space fits one ``_UnitProblem.score_block``, it is scored
-    there once and a window's rows are looked up in that table; only the
-    rows the search reads are counted, so the counts are those of the
-    window path.  Otherwise every window holds the units whose rows fit one
+    the lowest index wins.  A whole space that fits one
+    ``_UnitProblem.score_block`` is walked (:func:`_walk`).  Otherwise the
+    other states of a window of the next units are scored as one batch
+    against the current state: the first unit that improves moves, the rows
+    after it are dropped uncounted, and the next window starts after it.
+    Scores do not depend on the batch, so this is exactly the unit-by-unit
+    search.  Every window holds the units whose rows fit one
     ``PASS_ENTRIES`` pass, a row counted as the element gather's m·K·Nt·R
     products at both granularities: under fading each row costs R ZF
     solves, so wider windows of group rows measured no faster.
     """
     require_int("max_sweeps", max_sweeps, 1)
+    if problem.block_depth == problem.num_units:
+        return _walk(problem, max_sweeps)
     states = np.zeros(problem.num_units, dtype=np.int64)
     offsets = np.arange(problem.num_states - 1)  # one row per other state
     width = len(offsets)
-    table = None
-    if problem.block_depth == problem.num_units:  # the whole space fits one pass
-        table, digits = problem.score_block(0), problem.digits
-        values, degenerate = table[0][:1], table[1][:1]  # candidate 0: all zeros
-        limit = problem.num_units
-    else:
-        partials = problem.partials(states[None])  # (G, 1, R, K, Nt)
-        values, degenerate = problem.score(partials)
-        limit = max(1, PASS_ENTRIES // (max(width, 1) * problem.kernel.members.shape[1]
-                                        * problem.kernel.channel_size))
-        columns = np.arange(min(limit, problem.num_units) * width)
+    partials = problem.partials(states[None])  # (G, 1, R, K, Nt)
+    values, degenerate = problem.score(partials)
     problem.count(degenerate)
+    limit = max(1, PASS_ENTRIES // (max(width, 1) * problem.kernel.members.shape[1]
+                                    * problem.kernel.channel_size))
+    columns = np.arange(min(limit, problem.num_units) * width)
     current = float(values[0])
     trace = [(0, current)]
     row_units = np.arange(problem.num_units).repeat(width)  # unit of each row
@@ -328,14 +343,10 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
             stop = min(start + limit, problem.num_units)
             rows = slice(start * width, stop * width)
             units, moved = row_units[rows], new_states[rows]
-            if table is None:
-                groups, changed = problem.flips(states, units, moved)
-                trial = np.repeat(partials, len(groups), axis=1)
-                trial[groups, columns[:len(groups)]] = changed
-                values, degenerate = problem.score(trial)
-            else:  # each row's lexicographic index in the table
-                index = states @ digits + (moved - states[units]) * digits[units]
-                values, degenerate = table[0][index], table[1][index]
+            groups, changed = problem.flips(states, units, moved)
+            trial = np.repeat(partials, len(groups), axis=1)
+            trial[groups, columns[:len(groups)]] = changed
+            values, degenerate = problem.score(trial)
             first = int((values > current).argmax())  # the first improving row, if any
             improving = values[first] > current
             decided = first // width + 1 if improving else stop - start
@@ -346,13 +357,36 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
                 row = unit_rows.start + int(np.argmax(values[unit_rows]))
                 states[start - 1] = moved[row]
                 current = float(values[row])
-                if table is None:
-                    partials[groups[row]] = changed[row]
+                partials[groups[row]] = changed[row]
         trace.append((sweep, current))
-        improvement = (current - before) / max(abs(before), 1e-30)
-        if improvement < CONVERGENCE_EPSILON:
+        if (current - before) / max(abs(before), 1e-30) < CONVERGENCE_EPSILON:
             break
     return problem.outcome(states.tolist(), current, trace)
+
+
+def _walk(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcome:
+    """:func:`_greedy_sweeps` over :meth:`_UnitProblem.scored_space` in plain
+    Python, one unit at a time, each row looked up by its lexicographic
+    index; only the 1 + sweeps·units·(P−1) rows read are counted."""
+    values, degenerate = problem.scored_space()
+    index, current = 0, values.item(0)  # the row of the current states
+    trace, read = [(0, current)], [0]
+    for sweep in range(1, max_sweeps + 1):
+        before = current
+        for digit in problem.digits.tolist():
+            base = index - index // digit % problem.num_states * digit  # this unit in state 0
+            rows = [row for row in range(base, base + problem.num_states * digit, digit)
+                    if row != index]
+            read += rows
+            for row in rows:
+                if values.item(row) > current:  # a tie keeps the lower state
+                    index, current = row, values.item(row)
+        trace.append((sweep, current))
+        if (current - before) / max(abs(before), 1e-30) < CONVERGENCE_EPSILON:
+            break
+    problem.count(degenerate[read])
+    return problem.outcome((index // problem.digits % problem.num_states).tolist(), current,
+                           trace)
 
 
 def greedy_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
@@ -372,8 +406,10 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
     A batch is one ``_UnitProblem.score_block``: every state of the last L
     units under one prefix of the others, P^L candidates with the largest L
     whose channels (group granularity) or group partials (element) fit in
-    one ``PASS_ENTRIES`` pass.  Greedy search scores its whole space in one
-    such block when it fits.  Refuses searches beyond 2^20 candidates."""
+    one ``PASS_ENTRIES`` pass.  A space that fits one block is
+    ``_UnitProblem.scored_space``, which greedy search of the same scene
+    then walks without scoring it again.  Refuses searches beyond 2^20
+    candidates."""
     problem = _UnitProblem(scene, layout, table, granularity)
     num_states, num_units = problem.num_states, problem.num_units
     space = num_states ** num_units
@@ -383,8 +419,9 @@ def exhaustive_optimize(scene: Scene, layout: ElementLayout, table: StateTable,
             f"exceed the {EXHAUSTIVE_GUARD} guard"
         )
     best_index, best_value = 0, -math.inf
-    for start in range(0, space, num_states ** problem.block_depth):
-        values, degenerate = problem.score_block(start)
+    step = num_states ** problem.block_depth
+    for start in range(0, space, step):
+        values, degenerate = problem.scored_space() if step == space else problem.score_block(start)
         problem.count(degenerate)
         best = int(np.argmax(values))
         if values[best] > best_value:

@@ -292,12 +292,14 @@ def _build_geometry(scene: Scene, layout: ElementLayout) -> ChannelGeometry:
         directions /= np.sqrt(dot3(directions, directions))[:, None]
         rel = layout.positions - scene.panel.center
         bs_to_element = np.exp(-1j * k * dot3(directions[:, None], rel[None]))
-    else:
-        bs_to_element = _hop_gains(scene.bs_antennas, layout, scene)
+        element_to_user = _hop_gains(scene.users, layout, scene)
+    else:  # both hops in one call, split after the BS antennas' rows
+        bs_to_element, element_to_user = np.split(_hop_gains(
+            np.concatenate([scene.bs_antennas, scene.users]), layout, scene), [scene.num_antennas])
     sides = scene.user_sides
     return ChannelGeometry(
         bs_to_element=bs_to_element,
-        element_to_user=_hop_gains(scene.users, layout, scene),
+        element_to_user=element_to_user,
         user_side_index=(sides < 0).astype(np.int64),
         direct=_direct_gains(scene.users, sides, scene) if scene.direct_path else None,
         members=layout.members)

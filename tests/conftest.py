@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from omnisim import build_layout, load_prototype
+from omnisim import beamforming, build_layout, load_prototype
 
 # Reproducible property tests: the same examples on every run, and no
 # per-example deadline (timings on a shared 2-core machine are noisy).
@@ -23,3 +23,17 @@ def prototype_layout(prototype):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def zf_rows(monkeypatch):
+    """The row count of every ``_zero_forcing`` call the optimizers make."""
+    rows = []
+    zero_forcing = beamforming._zero_forcing
+
+    def counted(H, *powers):
+        rows.append(len(H))
+        return zero_forcing(H, *powers)
+
+    monkeypatch.setattr(beamforming, "_zero_forcing", counted)
+    return rows

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from omnisim import (CoefficientPair, Configuration, ElementLayout, FadingModel,
                      Granularity, InvalidSceneError, LinkBudgetChain, PanelSpec,
-                     Scene, StateTable, ValidationError, assemble_channel,
-                     build_layout, channel, channel_geometry, exhaustive_optimize,
-                     friis_gain, greedy_optimize, link_budget, noise_power,
-                     relaxed_upper_bound, side_of, sum_rate)
+                     Scene, StateTable, ValidationError, assemble_channel, beamforming,
+                     build_layout, channel, channel_geometry, evaluate_rates,
+                     exhaustive_optimize, friis_gain, greedy_optimize, link_budget,
+                     noise_power, relaxed_upper_bound, side_of, statistical_optimize,
+                     sum_rate)
 from omnisim.channel import SPEED_OF_LIGHT, _hop_gains, db_to_linear, draw_realizations
 
 WAVELENGTH_3G6 = SPEED_OF_LIGHT / 3.6e9
@@ -568,9 +569,11 @@ class TestGeometryCache:
                            [[0.4, 0.1, 0.8], [-0.3, 0.2, -0.9]])
         return scene, build_layout(panel)
 
-    def test_one_build_per_oracle_solve(self, prototype, monkeypatch):
+    def test_one_build_per_oracle_solve(self, prototype, monkeypatch, zf_rows):
         """Exhaustive and greedy search, the bound and two rate checks, as
-        the brute-force oracle runs them, share one geometry build."""
+        the brute-force oracle runs them, share one geometry build, and the
+        two searches one scoring of the whole space: greedy calls no ZF, and
+        each rate check scores its one configuration."""
         builds = []
         build = channel._build_geometry
 
@@ -587,6 +590,7 @@ class TestGeometryCache:
         assert sum_rate(scene, layout, table, best.config) == best.objective
         assert sum_rate(scene, layout, table, greedy.config) == greedy.objective
         assert len(builds) == 1 and builds[0] is scene
+        assert zf_rows == [table.num_states ** layout.num_groups, 1, 1]
 
     def test_same_object_per_pair(self):
         scene, layout = self.world()
@@ -615,3 +619,59 @@ class TestGeometryCache:
         for _ in range(2):
             with pytest.raises(ValidationError, match="layout does not match"):
                 channel_geometry(scene, mismatched)
+
+
+class TestScoredSpaceCache:
+    """``beamforming._SCORED`` keeps a whole fading-free space that fits one
+    pass, scored once for exhaustive and greedy search, per geometry."""
+
+    world = TestGeometryCache.world
+
+    def test_keeps_nothing_alive(self, prototype):
+        scene, layout = self.world()
+        table = StateTable(states=prototype.table.states)
+        exhaustive_optimize(scene, layout, table, Granularity.GROUP)
+        geometry = channel_geometry(scene, layout)
+        assert geometry in beamforming._SCORED
+        refs = [weakref.ref(x) for x in (scene, layout, table, geometry)]
+        del scene, layout, table, geometry
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None, None]
+
+    def test_entries_are_read_only(self, prototype):
+        scene, layout = self.world()
+        greedy_optimize(scene, layout, prototype.table, Granularity.ELEMENT)
+        exhaustive_optimize(scene, layout, prototype.table, Granularity.GROUP)
+        entries = beamforming._SCORED[channel_geometry(scene, layout)]
+        assert len(entries) == 2  # one per granularity
+        for values, degenerate in entries.values():
+            assert values.dtype == float and degenerate.dtype == bool
+            assert not values.flags.writeable and not degenerate.flags.writeable
+
+    def test_no_entry_without_a_fit_or_under_fading(self, prototype, prototype_layout):
+        """The prototype's 2^16 group candidates do not fit one pass; a faded
+        space is scored for its one search only."""
+        greedy_optimize(prototype.scene, prototype_layout, prototype.table, Granularity.GROUP)
+        assert channel_geometry(prototype.scene, prototype_layout) not in beamforming._SCORED
+        scene, layout = self.world()
+        statistical_optimize(scene, layout, prototype.table, FadingModel(6.0), 3, 0,
+                             Granularity.GROUP)
+        assert channel_geometry(scene, layout) not in beamforming._SCORED
+
+    def test_sum_rate_ignores_a_poisoned_entry(self, prototype):
+        """The searches read a poisoned entry; ``sum_rate`` and
+        ``evaluate_rates``, their independent check, do not."""
+        scene, layout = self.world()
+        table = prototype.table
+        best = exhaustive_optimize(scene, layout, table, Granularity.GROUP)
+        entries = beamforming._SCORED[channel_geometry(scene, layout)]
+        for key, (values, degenerate) in entries.items():
+            poison = np.full_like(values, 1e3), np.ones_like(degenerate)
+            for array in poison:
+                array.setflags(write=False)
+            entries[key] = poison
+        assert exhaustive_optimize(scene, layout, table, Granularity.GROUP).objective == 1e3
+        assert greedy_optimize(scene, layout, table, Granularity.GROUP).objective == 1e3
+        assert sum_rate(scene, layout, table, best.config) == best.objective
+        rates = evaluate_rates(scene, layout, table, best.config)
+        assert (rates.sum_rate, rates.degenerate) == (best.objective, False)

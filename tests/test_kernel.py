@@ -149,20 +149,6 @@ def unit_config(layout, granularity, unit_states):
     return Configuration(states=tuple(unit_states))
 
 
-@pytest.fixture
-def zf_rows(monkeypatch):
-    """The row count of every ``_zero_forcing`` call the optimizers make."""
-    rows = []
-    zero_forcing = beamforming._zero_forcing
-
-    def counted(H, *powers):
-        rows.append(len(H))
-        return zero_forcing(H, *powers)
-
-    monkeypatch.setattr(beamforming, "_zero_forcing", counted)
-    return rows
-
-
 class TestBatchInvariance:
     @given(scenes(), granularities, st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
            st.booleans())
@@ -494,6 +480,74 @@ class TestSpeculativeGreedy:
         assert out.objective == trace[-1][1]
         assert out.evaluations == evaluations
         assert out.degenerate_evaluations == degenerate
+
+    @given(scenes(max_groups=3), granularities, st.booleans(), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    # P = 2 and 3, with and without the direct path and a tied state, at
+    # both granularities, one faded.
+    @example(make_scene(3, 2, 2, 3, 2, 2, True), Granularity.GROUP, False, False, 0)
+    @example(make_scene(4, 2, 1, 3, 2, 3, False), Granularity.GROUP, True, False, 0)
+    @example(make_scene(5, 1, 1, 2, 2, 2, False), Granularity.ELEMENT, True, False, 0)
+    @example(make_scene(6, 3, 2, 2, 2, 3, True), Granularity.ELEMENT, False, True, 1)
+    @settings(max_examples=40)
+    def test_walk_equals_windows_and_one_unit_at_a_time(self, world, granularity, tied,
+                                                        faded, seed):
+        """A space that fits one pass (forced by a pass of 2^20 entries) is
+        walked over its scored table; config, objective, trace and both
+        counts are bitwise those of the window path (forced by a one-entry
+        pass) and of the sequential reference.  A tied table repeats state 1
+        as its last state, which a move must never take.  A faded space is
+        walked from its own scoring and never cached."""
+        scene, layout, table = world
+        if tied:
+            table = StateTable(states=(*table.states, table.states[1]))
+        geometry = channel_geometry(scene, layout)
+        realizations = draw_realizations(FadingModel(6.0), geometry, seed, 2) if faded else ()
+
+        def search(pass_entries):
+            with mock.patch.object(beamforming, "PASS_ENTRIES", pass_entries):
+                if faded:
+                    return statistical_optimize(scene, layout, table, FadingModel(6.0), 2,
+                                                seed, granularity)
+                return greedy_optimize(scene, layout, table, granularity)
+
+        windows = search(1)
+        assert geometry not in beamforming._SCORED
+        walk = search(2 ** 20)
+        assert (geometry in beamforming._SCORED) is not faded
+        states, trace, evaluations, degenerate = sequential_greedy(
+            _UnitProblem(scene, layout, table, granularity, realizations))
+        for out in (walk, windows):
+            assert out.config == unit_config(layout, granularity, states)
+            assert out.trace == tuple(trace)
+            assert out.objective == trace[-1][1]
+            assert (out.evaluations, out.degenerate_evaluations) == (evaluations, degenerate)
+        if tied:
+            assert len(table.states) - 1 not in states
+
+    # Spaces that fit one pass: 3^5 channels of 2 x 2 entries, and 2^6
+    # candidates of 3 group partials of 2 x 1 entries.
+    @pytest.mark.parametrize("granularity, nt, groups, num_states",
+                             [(Granularity.GROUP, 2, 5, 3), (Granularity.ELEMENT, 1, 3, 2)])
+    @pytest.mark.parametrize("direct_path", [False, True])
+    def test_outcomes_do_not_depend_on_the_search_order(self, granularity, nt, groups,
+                                                        num_states, direct_path):
+        """Exhaustive then greedy search, greedy then exhaustive, and each
+        alone on a fresh scene give bitwise the same outcomes, whichever
+        search scored the space that the other reads."""
+        def solve(*order):
+            scene, layout, table = make_scene(seed=9, nt=nt, k_users=nt, groups=groups,
+                                              group_cols=2, num_states=num_states,
+                                              direct_path=direct_path)
+            problem = _UnitProblem(scene, layout, table, granularity)
+            assert problem.block_depth == problem.num_units
+            search = {"exhaustive": exhaustive_optimize, "greedy": greedy_optimize}
+            return {name: repr(search[name](scene, layout, table, granularity))
+                    for name in order}
+
+        first = solve("exhaustive", "greedy")
+        assert solve("greedy", "exhaustive") == first
+        assert {**solve("greedy"), **solve("exhaustive")} == first
 
     @pytest.mark.parametrize("granularity", [Granularity.GROUP, Granularity.ELEMENT])
     def test_tied_states_move_to_the_lowest(self, granularity):
