@@ -526,7 +526,7 @@ class TestSpeculativeGreedy:
             assert len(table.states) - 1 not in states
 
     # Spaces that fit one pass: 3^5 channels of 2 x 2 entries, and 2^6
-    # candidates of 3 group partials of 2 x 1 entries.
+    # candidates of 3 group partials of 1 x 1 entries.
     @pytest.mark.parametrize("granularity, nt, groups, num_states",
                              [(Granularity.GROUP, 2, 5, 3), (Granularity.ELEMENT, 1, 3, 2)])
     @pytest.mark.parametrize("direct_path", [False, True])
