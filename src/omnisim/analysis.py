@@ -22,6 +22,7 @@ from .geometry import PLANE_EPS, ElementLayout, Side, as_vec3, require_near
 # real, 320 kB complex at M = 640) stay in cache and the allocator reuses them.
 CHUNK_POINTS = 32
 MIN_STEP_DEG = 180.0 / 2 ** 20  # at most 2^20 probes per side, as the exhaustive guard
+MAX_GRID_CELLS = 2 ** 20  # a coverage grid's nx * ny, bounded as the pattern's probes
 
 
 class PatternSweep(Record):
@@ -31,10 +32,7 @@ class PatternSweep(Record):
     def __init__(self, angles_deg: np.ndarray, power_db: np.ndarray, side: Side, skipped: int):
         angles_deg.setflags(write=False)
         power_db.setflags(write=False)
-        object.__setattr__(self, "angles_deg", angles_deg)
-        object.__setattr__(self, "power_db", power_db)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "skipped", skipped)
+        vars(self).update(angles_deg=angles_deg, power_db=power_db, side=side, skipped=skipped)
 
     def peak_angle(self) -> float:
         return float(self.angles_deg[np.argmax(self.power_db)])
@@ -45,18 +43,16 @@ class CoverageGrid(Record, eq=True):
 
     def __init__(self, x0: float, x1: float, y0: float, y1: float, nx: int, ny: int):
         nx, ny = require_int("grid nx", nx, 1), require_int("grid ny", ny, 1)
+        if nx * ny > MAX_GRID_CELLS:
+            raise ValidationError(f"grid nx * ny must be at most {MAX_GRID_CELLS} cells, "
+                                  f"got {nx} * {ny} = {nx * ny}")
         x0, x1, y0, y1 = (require_real(f"grid {name}", value) for name, value in (
             ("x0", x0), ("x1", x1), ("y0", y0), ("y1", y1)))
         if x1 < x0 or y1 < y0:
             raise ValidationError("grid extents must satisfy x1 >= x0, y1 >= y0")
         # np.linspace subtracts the extents, so their difference must be finite too.
         require_real("grid span", max(x1 - x0, y1 - y0))
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "ny", ny)
+        vars(self).update(x0=x0, x1=x1, y0=y0, y1=y1, nx=nx, ny=ny)
 
     @property
     def xs(self) -> np.ndarray:
@@ -75,9 +71,7 @@ class CoverageMap(Record):
     def __init__(self, grid: CoverageGrid, values: np.ndarray, side: np.ndarray):
         values.setflags(write=False)
         side.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "side", side)
+        vars(self).update(grid=grid, values=values, side=side)
 
 
 def _pattern_angles(step_deg: float) -> np.ndarray:

@@ -45,11 +45,9 @@ class BeamformerResult(Record):
 
     def __init__(self, precoder: np.ndarray, power_allocation: np.ndarray,
                  per_user_rate: np.ndarray, sum_rate: float, column_norms: np.ndarray):
-        object.__setattr__(self, "precoder", precoder)
-        object.__setattr__(self, "power_allocation", power_allocation)
-        object.__setattr__(self, "per_user_rate", per_user_rate)
-        object.__setattr__(self, "sum_rate", sum_rate)
-        object.__setattr__(self, "column_norms", column_norms)
+        vars(self).update(precoder=precoder, power_allocation=power_allocation,
+                          per_user_rate=per_user_rate, sum_rate=sum_rate,
+                          column_norms=column_norms)
 
 
 def _zero_forcing(H: np.ndarray, total_power_w: float, noise_power_w: float):
@@ -147,9 +145,7 @@ class RateResult(Record):
     """Sum rate of one configuration; degenerate marks a rank-failed channel."""
 
     def __init__(self, sum_rate: float, per_user_rate: np.ndarray, degenerate: bool):
-        object.__setattr__(self, "sum_rate", sum_rate)
-        object.__setattr__(self, "per_user_rate", per_user_rate)
-        object.__setattr__(self, "degenerate", degenerate)
+        vars(self).update(sum_rate=sum_rate, per_user_rate=per_user_rate, degenerate=degenerate)
 
 
 def evaluate_rates(scene: Scene, layout: ElementLayout, table: StateTable,
@@ -179,11 +175,8 @@ class OptimizationOutcome(Record):
     def __init__(self, config: Configuration, objective: float,
                  trace: tuple[tuple[int, float], ...], evaluations: int,
                  degenerate_evaluations: int = 0):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "evaluations", evaluations)
-        object.__setattr__(self, "degenerate_evaluations", degenerate_evaluations)
+        vars(self).update(config=config, objective=objective, trace=trace,
+                          evaluations=evaluations, degenerate_evaluations=degenerate_evaluations)
 
 
 class _UnitProblem:

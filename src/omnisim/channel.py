@@ -56,58 +56,50 @@ class Scene(Record):
                  noise_figure_db: float = 0.0, tx_gain_db: float = 0.0,
                  rx_gain_db: float = 0.0, lna_gain_db: float = 0.0, direct_path: bool = False,
                  plane_wave_incidence: bool = False, element_factor_q: float = 0.0):
-        # Stored as given, then checked and replaced in place below.
-        object.__setattr__(self, "frequency_hz", frequency_hz)
-        object.__setattr__(self, "panel", panel)
-        object.__setattr__(self, "bs_antennas", bs_antennas)
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "tx_power_dbm", tx_power_dbm)
-        object.__setattr__(self, "bandwidth_hz", bandwidth_hz)
-        object.__setattr__(self, "noise_figure_db", noise_figure_db)
-        object.__setattr__(self, "tx_gain_db", tx_gain_db)
-        object.__setattr__(self, "rx_gain_db", rx_gain_db)
-        object.__setattr__(self, "lna_gain_db", lna_gain_db)
-        object.__setattr__(self, "direct_path", direct_path)
-        object.__setattr__(self, "plane_wave_incidence", plane_wave_incidence)
-        object.__setattr__(self, "element_factor_q", element_factor_q)
-        for name in ("frequency_hz", "bandwidth_hz"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name), positive=True))
-        for name in ("tx_power_dbm", "noise_figure_db", "tx_gain_db", "rx_gain_db",
-                     "lna_gain_db"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name)))
-        object.__setattr__(self, "element_factor_q",
-                           require_real("element_factor_q", self.element_factor_q, 0.0))
-        for name in ("direct_path", "plane_wave_incidence"):
-            object.__setattr__(self, name, require_choice(getattr(self, name), bool,
-                                                          f"{name} must be a bool"))
+        frequency_hz = require_real("frequency_hz", frequency_hz, positive=True)
+        bandwidth_hz = require_real("bandwidth_hz", bandwidth_hz, positive=True)
+        tx_power_dbm = require_real("tx_power_dbm", tx_power_dbm)
+        noise_figure_db = require_real("noise_figure_db", noise_figure_db)
+        tx_gain_db = require_real("tx_gain_db", tx_gain_db)
+        rx_gain_db = require_real("rx_gain_db", rx_gain_db)
+        lna_gain_db = require_real("lna_gain_db", lna_gain_db)
+        element_factor_q = require_real("element_factor_q", element_factor_q, 0.0)
+        direct_path = require_choice(direct_path, bool, "direct_path must be a bool")
+        plane_wave_incidence = require_choice(plane_wave_incidence, bool,
+                                              "plane_wave_incidence must be a bool")
         # Watts once per scene, so no dBm value overflows or underflows later.
-        noise_dbm = noise_power(self.bandwidth_hz, self.noise_figure_db)
-        for name, dbm in (("tx_power_w", self.tx_power_dbm), ("noise_power_w", noise_dbm)):
-            object.__setattr__(self, name, require_real(name, db_to_linear(dbm - 30.0), positive=True))
+        tx_power_w = require_real("tx_power_w", db_to_linear(tx_power_dbm - 30.0), positive=True)
+        noise_power_w = require_real("noise_power_w", db_to_linear(
+            noise_power(bandwidth_hz, noise_figure_db) - 30.0), positive=True)
         # The linear chain gain snr_at multiplies by, checked the same way.
-        object.__setattr__(self, "chain_gain", require_real(
-            "tx_gain_db + rx_gain_db + lna_gain_db as a linear gain", db_to_linear(
-                self.tx_gain_db + self.rx_gain_db + self.lna_gain_db), positive=True))
+        chain_gain = require_real("tx_gain_db + rx_gain_db + lna_gain_db as a linear gain",
+                                  db_to_linear(tx_gain_db + rx_gain_db + lna_gain_db),
+                                  positive=True)
         # Frozen copies, so the caller's arrays stay writable and a write to
         # them cannot reach a cached channel geometry.
-        bs = as_points(self.bs_antennas, "bs antennas")
-        users = as_points(self.users, "users")
-        sides = self.panel.plane_side(np.concatenate([bs, users]))
+        bs = as_points(bs_antennas, "bs antennas")
+        users = as_points(users, "users")
+        sides = panel.plane_side(np.concatenate([bs, users]))
         bs_sides, user_sides = sides[:len(bs)], sides[len(bs):]
         if not bs_sides.all():
             raise InvalidSceneError(
                 f"BS antenna {bs[bs_sides == 0][0].tolist()} lies in the panel plane")
         if (bs_sides != bs_sides[0]).any():
-            raise InvalidSceneError(
-                "BS antennas straddle the panel; all must share one side")
+            raise InvalidSceneError("BS antennas straddle the panel; all must share one side")
         if not user_sides.all():
             raise InvalidSceneError(
                 f"user {users[user_sides == 0][0].tolist()} lies in the panel plane")
-        object.__setattr__(self, "bs_side_sign", int(bs_sides[0]))
-        user_sides = user_sides * self.bs_side_sign  # as point_sides(users)
+        bs_side_sign = int(bs_sides[0])
+        user_sides = user_sides * bs_side_sign  # as point_sides(users)
         user_sides.setflags(write=False)
-        for name, value in (("bs_antennas", bs), ("users", users), ("user_sides", user_sides)):
-            object.__setattr__(self, name, value)
+        vars(self).update(
+            frequency_hz=frequency_hz, panel=panel, bs_antennas=bs, users=users,
+            tx_power_dbm=tx_power_dbm, bandwidth_hz=bandwidth_hz,
+            noise_figure_db=noise_figure_db, tx_gain_db=tx_gain_db, rx_gain_db=rx_gain_db,
+            lna_gain_db=lna_gain_db, direct_path=direct_path,
+            plane_wave_incidence=plane_wave_incidence, element_factor_q=element_factor_q,
+            tx_power_w=tx_power_w, noise_power_w=noise_power_w, chain_gain=chain_gain,
+            bs_side_sign=bs_side_sign, user_sides=user_sides)
 
     @property
     def wavelength(self) -> float:
@@ -160,17 +152,21 @@ def noise_power(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
 
 
 class LinkBudgetChain(Record, eq=True):
-    """Transmit power plus an ordered list of named dB gains/losses."""
+    """Transmit power plus an ordered list of named dB gains/losses, with a finite total."""
 
     def __init__(self, tx_power_dbm: float, items: tuple[tuple[str, float], ...]):
-        object.__setattr__(self, "tx_power_dbm", require_real("tx_power_dbm", tx_power_dbm))
+        tx_power_dbm = require_real("tx_power_dbm", tx_power_dbm)
         try:
             checked = tuple((label, require_real(f"link budget item {label!r}", value))
                             for label, value in items)
         except (TypeError, ValueError):  # not iterable, or an item that is not a pair
             raise ValidationError(f"link budget items must be (label, dB) pairs, "
                                   f"got {items!r}") from None
-        object.__setattr__(self, "items", checked)
+        vars(self).update(tx_power_dbm=tx_power_dbm, items=checked)
+        try:
+            link_budget(self)
+        except OverflowError:  # math.fsum's total is beyond the float range
+            raise ValidationError(f"link budget total of {self!r} overflows") from None
 
 
 def link_budget(chain: LinkBudgetChain) -> float:
@@ -237,11 +233,8 @@ class ChannelGeometry(Record):
         for arr in (bs_to_element, element_to_user, user_side_index, direct, members):
             if arr is not None:
                 arr.setflags(write=False)
-        object.__setattr__(self, "bs_to_element", bs_to_element)
-        object.__setattr__(self, "element_to_user", element_to_user)
-        object.__setattr__(self, "user_side_index", user_side_index)
-        object.__setattr__(self, "direct", direct)
-        object.__setattr__(self, "members", members)
+        vars(self).update(bs_to_element=bs_to_element, element_to_user=element_to_user,
+                          user_side_index=user_side_index, direct=direct, members=members)
 
     @property
     def num_antennas(self) -> int:
@@ -310,8 +303,8 @@ class FadingModel(Record, eq=True):
 
     def __init__(self, k_factor_db: float = math.inf):
         # +inf (no fading) and -inf (Rayleigh) are valid
-        object.__setattr__(self, "k_factor_db", require_real(
-            "k_factor_db", k_factor_db, -math.inf, math.inf))
+        vars(self).update(k_factor_db=require_real("k_factor_db", k_factor_db,
+                                                   -math.inf, math.inf))
         if not self.is_degenerate:  # a finite K must have a finite linear value
             require_real("k_factor_db as a linear value", db_to_linear(self.k_factor_db), 0.0)
 
@@ -334,9 +327,8 @@ class FadingRealization(Record):
 
     def __init__(self, bs_to_element: np.ndarray, element_to_user: np.ndarray,
                  direct: np.ndarray | None):
-        object.__setattr__(self, "bs_to_element", bs_to_element)
-        object.__setattr__(self, "element_to_user", element_to_user)
-        object.__setattr__(self, "direct", direct)
+        vars(self).update(bs_to_element=bs_to_element, element_to_user=element_to_user,
+                          direct=direct)
 
 
 def draw_realizations(model: FadingModel, geometry: ChannelGeometry,

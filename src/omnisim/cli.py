@@ -93,13 +93,14 @@ def _config_payload(config, layout) -> dict:
     return payload
 
 
-def _write_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(path: str, data: str | bytes) -> None:
+    """Write one artifact: text as UTF-8 with its newlines as given.  An
+    unwritable path is a validation error, as an unreadable scene is."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -150,7 +151,11 @@ def cmd_simulate(args) -> int:
             "trace": [[s, v] for s, v in outcome.trace],
         },
     }
-    _write_json(report, args.out)
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _write(args.out, text)
     # wall time stays off the artifact so identical runs stay byte-identical;
     # the degenerate count is a run diagnostic and stays off it too
     print(f"simulate: objective {_fmt(outcome.objective)} bits/s/Hz "
@@ -166,8 +171,7 @@ def cmd_pattern(args) -> int:
     # Sweeps use the all-zeros (uniform first-state) configuration so that
     # identical invocations stay reproducible without extra inputs.
     config = Configuration.uniform(layout.num_elements, 0)
-    sides = {"reflection": [Side.REFLECTION], "refraction": [Side.REFRACTION],
-             "both": [Side.REFLECTION, Side.REFRACTION]}[args.side]
+    sides = list(Side) if args.side == "both" else [Side(args.side)]
     lines = ["angle_deg,power_db,side"]
     skipped = 0
     for side in sides:
@@ -177,8 +181,7 @@ def cmd_pattern(args) -> int:
         skipped += sweep.skipped
         lines.extend(f"{_fmt(a)},{_fmt(p)},{side.value}" for a, p
                      in zip(sweep.angles_deg.tolist(), sweep.power_db.tolist()))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     if skipped:
         print(f"pattern: skipped {skipped} in-plane probe angle(s)",
               file=sys.stderr)
@@ -210,8 +213,7 @@ def cmd_coverage(args) -> int:
     lines = ["x_m,y_m,se_bps_hz,side"]
     for x, values, sides in zip(map(_fmt, grid.xs), cmap.values.tolist(), cmap.side.tolist()):
         lines.extend(f"{x},{y},{_fmt(v)},{names[s]}" for y, v, s in zip(ys, values, sides))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     if args.pgm:
         _write_pgm(cmap, args.pgm)
     return EXIT_OK
@@ -226,9 +228,7 @@ def _write_pgm(cmap, path: str) -> None:
     if hi > lo:
         pixels[mask] = np.round((finite - lo) / (hi - lo) * 255.0).astype(np.uint8)
     # image rows run along y (height ny), columns along x (width nx)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{cmap.grid.nx} {cmap.grid.ny}\n255\n".encode("ascii"))
-        fh.write(pixels.T.tobytes())
+    _write(path, f"P5\n{cmap.grid.nx} {cmap.grid.ny}\n255\n".encode("ascii") + pixels.T.tobytes())
 
 
 def cmd_linkbudget(args) -> int:
@@ -258,7 +258,7 @@ def cmd_oracle(args) -> int:
         "config": _config_payload(outcome.config, layout),
         "evaluations": outcome.evaluations,
     }
-    _write_json(payload, None)
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 

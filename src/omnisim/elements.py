@@ -45,13 +45,10 @@ class CoefficientPair(Record, eq=True, uncompared=("phases_wrapped",)):
         declared = [None if power is None else require_real(name, power, 0.0, 1.0)
                     for name, power in (("declared_reflection_power", declared_reflection_power),
                                         ("declared_refraction_power", declared_refraction_power))]
-        object.__setattr__(self, "reflection_amp", reflection_amp)
-        object.__setattr__(self, "reflection_phase", reflection_phase)
-        object.__setattr__(self, "refraction_amp", refraction_amp)
-        object.__setattr__(self, "refraction_phase", refraction_phase)
-        object.__setattr__(self, "declared_reflection_power", declared[0])
-        object.__setattr__(self, "declared_refraction_power", declared[1])
-        object.__setattr__(self, "phases_wrapped", wrapped != phases)
+        vars(self).update(reflection_amp=reflection_amp, reflection_phase=reflection_phase,
+                          refraction_amp=refraction_amp, refraction_phase=refraction_phase,
+                          declared_reflection_power=declared[0],
+                          declared_refraction_power=declared[1], phases_wrapped=wrapped != phases)
 
     def amplitude(self, side: Side) -> float:
         reflection = require_choice(side, Side, "side must be a Side") is Side.REFLECTION
@@ -82,7 +79,7 @@ class StateTable(Record, eq=True):
             raise ValidationError("state table must contain at least one state")
         if not all(isinstance(state, CoefficientPair) for state in states):
             raise ValidationError(f"state table entries must be CoefficientPair, got {states!r}")
-        object.__setattr__(self, "states", states)
+        vars(self).update(states=states)
 
     @property
     def num_states(self) -> int:
@@ -106,13 +103,10 @@ class StateValidation(Record, eq=True):
     def __init__(self, index: int, power_sum: float, passivity_ok: bool,
                  reflection_power_residual: float | None,
                  refraction_power_residual: float | None, power_ok: bool, phases_wrapped: bool):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "power_sum", power_sum)
-        object.__setattr__(self, "passivity_ok", passivity_ok)
-        object.__setattr__(self, "reflection_power_residual", reflection_power_residual)
-        object.__setattr__(self, "refraction_power_residual", refraction_power_residual)
-        object.__setattr__(self, "power_ok", power_ok)
-        object.__setattr__(self, "phases_wrapped", phases_wrapped)
+        vars(self).update(index=index, power_sum=power_sum, passivity_ok=passivity_ok,
+                          reflection_power_residual=reflection_power_residual,
+                          refraction_power_residual=refraction_power_residual,
+                          power_ok=power_ok, phases_wrapped=phases_wrapped)
 
     @property
     def ok(self) -> bool:
@@ -123,7 +117,7 @@ class TableValidation(Record, eq=True):
     """The findings of :func:`validate_table`: one entry per state, in table order."""
 
     def __init__(self, entries: tuple[StateValidation, ...]):
-        object.__setattr__(self, "entries", entries)
+        vars(self).update(entries=entries)
 
     @property
     def passed(self) -> bool:
@@ -179,10 +173,10 @@ class Configuration(Record, eq=True):
     """One state index per element (canonical, even under group granularity)."""
 
     def __init__(self, states: tuple[int, ...], granularity: Granularity = Granularity.ELEMENT):
-        object.__setattr__(self, "states", require_ints("state index", states, 0))
-        if len(self.states) == 0:
+        states = require_ints("state index", states, 0)
+        if not states:
             raise ValidationError("configuration must cover at least one element")
-        object.__setattr__(self, "granularity", require_choice(
+        vars(self).update(states=states, granularity=require_choice(
             granularity, Granularity, "granularity must be a Granularity"))
 
     def __len__(self) -> int:

@@ -117,9 +117,9 @@ def require_ints(name: str, values, minimum: int) -> tuple[int, ...]:
 
 
 class Record:
-    """Base of the frozen records.  A record's ``__init__`` stores each field
-    once, in order, with ``object.__setattr__``; its repr lists them as a
-    dataclass's does, and setting or deleting any attribute raises
+    """Base of the frozen records.  A record's ``__init__`` stores its fields
+    once, in order, with one ``vars(self).update(...)``; its repr lists them
+    as a dataclass's does, and setting or deleting any attribute raises
     ``FrozenInstanceError``.  A record declared with ``eq=True`` compares
     (to records of its own class) and hashes by its fields, except those
     named in ``uncompared``; any other compares by identity.  A cached

@@ -104,14 +104,10 @@ class PanelSpec(Record):
         for name, count, size in (("rows", rows, group_rows), ("cols", cols, group_cols)):
             if count % size:
                 raise ValidationError(f"{name} ({count}) not divisible by group_{name} ({size})")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "dx", require_real("panel dx", dx, positive=True))
-        object.__setattr__(self, "dy", require_real("panel dy", dy, positive=True))
-        object.__setattr__(self, "group_rows", group_rows)
-        object.__setattr__(self, "group_cols", group_cols)
+        vars(self).update(center=center, normal=normal, rows=rows, cols=cols,
+                          dx=require_real("panel dx", dx, positive=True),
+                          dy=require_real("panel dy", dy, positive=True),
+                          group_rows=group_rows, group_cols=group_cols)
 
     @property
     def num_elements(self) -> int:
@@ -163,10 +159,8 @@ class ElementLayout(Record):
         if (counts != counts[0]).any():
             raise ValidationError("groups must have equal numbers of elements")
         group_of.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "group_of", group_of)
-        object.__setattr__(self, "u", as_vec3(u, "layout u"))
-        object.__setattr__(self, "v", as_vec3(v, "layout v"))
+        vars(self).update(positions=positions, group_of=group_of, u=as_vec3(u, "layout u"),
+                          v=as_vec3(v, "layout v"))
 
     @property
     def num_elements(self) -> int:

@@ -118,9 +118,7 @@ class ParsedScene(Record):
     """Validated domain objects plus the canonical (defaults-resolved) dict."""
 
     def __init__(self, scene: Scene, table: StateTable, raw: dict):
-        object.__setattr__(self, "scene", scene)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "raw", raw)
+        vars(self).update(scene=scene, table=table, raw=raw)
 
     @property
     def panel(self) -> PanelSpec:

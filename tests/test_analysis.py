@@ -9,7 +9,7 @@ from omnisim import (CoefficientPair, Configuration, CoverageGrid, PanelSpec,
                      ValidationError, assemble_channel, build_layout,
                      channel_geometry, coverage_map, quantize_phase,
                      radiation_pattern, snr_at)
-from omnisim.analysis import MIN_STEP_DEG, _pattern_angles, pattern_power
+from omnisim.analysis import MAX_GRID_CELLS, MIN_STEP_DEG, _pattern_angles, pattern_power
 from omnisim.scene_io import parse_scene_dict
 
 
@@ -224,6 +224,17 @@ class TestCoverageGrid:
 
     def test_accepts_numpy_integers(self):
         assert CoverageGrid(-1.0, 1.0, -1.0, 1.0, np.int64(3), 2).xs.tolist() == [-1.0, 0.0, 1.0]
+
+    def test_cell_count_is_bounded(self):
+        """nx * ny up to MAX_GRID_CELLS constructs; one row more is refused
+        before any map is computed."""
+        assert MAX_GRID_CELLS == 1024 * 1024
+        grid = CoverageGrid(-1.0, 1.0, -1.0, 1.0, 1024, 1024)
+        assert (grid.nx, grid.ny) == (1024, 1024)
+        with pytest.raises(ValidationError, match=r"at most 1048576 cells, got 1025 \* 1024"):
+            CoverageGrid(-1.0, 1.0, -1.0, 1.0, 1025, 1024)
+        with pytest.raises(ValidationError, match="at most 1048576 cells"):
+            CoverageGrid(0.5, 1.0, 0.0, 1.0, 10 ** 10, 1)
 
 
 class TestCoverageMap:

@@ -200,6 +200,17 @@ def test_array_conversions_have_one_owner():
     assert not offenders, f"array conversions outside errors.require_array: {offenders}"
 
 
+def test_records_store_their_fields_in_one_statement():
+    """Every record's ``__init__`` stores its fields with one
+    ``vars(self).update(...)``: no module of the package names
+    ``object.__setattr__``, so a field cannot come back on a line of its own."""
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(omnisim.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if dotted(node) == "object.__setattr__"]
+    assert not offenders, f"object.__setattr__ in the package: {offenders}"
+
+
 PANEL = dict(center=[0, 0, 0], normal=[0, 0, 1.0], rows=1, cols=2, dx=0.04, dy=0.04,
              group_rows=1, group_cols=1)
 SCENE = dict(frequency_hz=3.6e9, bs_antennas=[[0, 0, 1.0]], users=[[0.3, 0, -1.0]],

@@ -121,6 +121,17 @@ class TestLinkBudget:
         with pytest.raises(ValidationError, match=r"must be \(label, dB\) pairs"):
             LinkBudgetChain(0.0, items)
 
+    @pytest.mark.parametrize("tx, values", [(1e308, (1e308,)), (0.0, (1.7e308, 1.7e308)),
+                                            (-1e308, (-1e308, 1.0))])
+    def test_total_beyond_the_float_range_rejected(self, tx, values):
+        items = tuple((f"g{i}", v) for i, v in enumerate(values))
+        with pytest.raises(ValidationError, match="link budget total of LinkBudgetChain"):
+            LinkBudgetChain(tx, items)
+
+    def test_total_at_the_float_limit_accepted(self):
+        chain = LinkBudgetChain(1.7e308, (("a", -1e307), ("b", 1e307)))
+        assert link_budget(chain) == 1.7e308
+
     @given(st.lists(st.floats(min_value=-80, max_value=40), min_size=1,
                     max_size=8),
            st.integers(min_value=0, max_value=100))

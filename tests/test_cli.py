@@ -103,6 +103,32 @@ class TestLinkBudget:
         assert payload["type"] == "validation"
         assert flag in payload["message"]
 
+    def test_total_beyond_the_float_range_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "linkbudget", "--config", prototype_scene_path(),
+                                 "--ios-gain-db", "1e308", "--tx-ios-db", "1e308")
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "validation"
+        assert payload["message"].startswith("link budget total of LinkBudgetChain(")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command, flag", [("simulate", "--out"), ("pattern", "--out"),
+                                               ("coverage", "--out"), ("coverage", "--pgm")])
+    def test_exits_2_with_a_json_error(self, capsys, tmp_path, command, flag):
+        """An artifact path in a missing directory is a validation error, as an
+        unreadable scene is: exit 2 and one JSON error on stderr."""
+        missing = tmp_path / "missing" / "artifact"
+        outputs = {"--out": str(tmp_path / "out"), flag: str(missing)}
+        argv = {"simulate": ["--optimizer", "greedy"], "pattern": ["--step-deg", "30"],
+                "coverage": ["--grid=-1,1,-1,1,3,3"]}[command]
+        argv += [arg for pair in outputs.items() for arg in pair]
+        code, out, err = run_cli(capsys, command, "--config", small_scene_file(tmp_path), *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "validation"
+        assert payload["message"].startswith(f"cannot write {missing}: ")
+
 
 class TestSimulate:
     def test_greedy_group_reports_16_group_states(self, capsys, tmp_path):
@@ -334,9 +360,10 @@ class TestCoverage:
 # a coverage grid field is a flag of its own here.
 PROBE_VALUES = ("nan", "inf", "-inf", "0", "-1")
 # Probes of one flag only: pattern steps that would ask for more than 2^20 probes,
-# and pattern radii that put every probe in the panel plane or beyond 2^32
-# wavelengths.
-FLAG_PROBES = {"--step-deg": ("1e-12", "1e-300"), "--radius-m": ("1e-12", "1e149")}
+# pattern radii that put every probe in the panel plane or beyond 2^32
+# wavelengths, and a grid of more than 2^20 cells.
+FLAG_PROBES = {"--step-deg": ("1e-12", "1e-300"), "--radius-m": ("1e-12", "1e149"),
+               "nx": ("10000000000",)}
 NUMERIC_FLAGS = {
     "simulate": {"--seed": {"0"}, "--sweeps": set(), "--trials": set(), "--samples": set(),
                  "--k-factor-db": {"inf", "-inf", "0", "-1"}},
@@ -378,7 +405,8 @@ class TestNumericFlags:
     @with_each_value_alone
     def test_invalid_value_exits_2_without_artifact(self, scene, run):
         """Every numeric flag, given NaN, +-inf, 0 or -1 (and the pattern step
-        1e-12 or 1e-300, the pattern radius 1e-12 or 1e149) alone or with others:
+        1e-12 or 1e-300, the pattern radius 1e-12 or 1e149, the grid's nx
+        1e10) alone or with others:
         exit 2 and no artifact when any value is out of its flag's range (or
         the grid's extents are reversed), otherwise exit 0 and an artifact."""
         command, values = run
