@@ -3,7 +3,7 @@ optimization of the panel configuration.
 
 The digital precoder is the channel pseudo-inverse with unit-norm columns
 and equal per-stream power.  ``sum_rate`` and every optimizer score
-candidates in batches through one kernel (``ChannelKernel`` plus
+candidates in batches through one kernel (``channel._products`` plus
 :func:`_zero_forcing`) whose result for a candidate does not depend on its
 batch, so "exhaustive >= greedy" holds exactly, not just statistically.
 """
@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (PASS_ENTRIES, ChannelGeometry, ChannelKernel, FadingModel,
-                      FadingRealization, Scene, _configuration_channels, _gather,
+from .channel import (PASS_ENTRIES, ChannelGeometry, FadingModel, FadingRealization, Scene,
+                      _configuration_channels, _direct, _gather, _products, _state_tables,
                       channel_geometry, draw_realizations, ordered_sum)
 from .elements import Configuration, Granularity, StateTable
 from .errors import (RankDeficientChannelError, Record, SearchSpaceError, TooManyUsersError,
@@ -181,27 +181,29 @@ class OptimizationOutcome(Record):
 
 class _UnitProblem:
     """Shared machinery: (B, units) arrays of candidate unit states, scored
-    by :meth:`score` through its one kernel, exactly as ``sum_rate``
-    scores them.  Under fading a candidate's objective is the ``math.fsum``
-    average over the realizations, and it is degenerate if any channel is.
-    Only :meth:`__init__` reads the granularity: a unit is a group, its rows
-    its state table, or an element, its rows in ``ChannelKernel.table``.
-    A whole space that fits one :meth:`score_block` is scored once per
-    geometry, table and granularity (:meth:`scored_space`).
+    by :meth:`score` from the problem's own channel rows, exactly as
+    ``sum_rate`` scores them.  Under fading a candidate's objective is the
+    ``math.fsum`` average over the realizations, and it is degenerate if any
+    channel is.  Only :meth:`__init__` reads the granularity: a unit is a
+    group, its rows its state table, or an element, its rows its products
+    (:attr:`rows`).  A whole space that fits one :meth:`score_block` is
+    scored once per geometry, table and granularity (:meth:`scored_space`).
     """
 
     def __init__(self, scene: Scene, layout: ElementLayout, table: StateTable,
                  granularity: Granularity, realizations=()):
-        kernel = self.kernel = ChannelKernel(channel_geometry(scene, layout),
-                                             table.coefficient_matrix, realizations)
+        self.geometry = geometry = channel_geometry(scene, layout)
+        self.coefficients = table.coefficient_matrix
+        self.fading = realizations
+        self.direct = _direct(geometry, realizations)
+        self.channel_size = geometry.num_users * geometry.num_antennas * max(1, len(realizations))
         # The units are the groups, in group order: prefix expansion applies.
         self.grouped = require_choice(granularity, Granularity,
                                       "granularity must be a Granularity") is Granularity.GROUP
         groups = np.arange(layout.num_groups)[:, None]  # each group one unit
-        # The (G, m) units each group sums, each unit's group, and the unit rows.
-        self.members, self.group_of, self.rows = (
-            (groups, groups[:, 0], lambda: kernel.state_tables) if self.grouped
-            else (layout.members, layout.group_of, lambda: kernel.table))
+        # The (G, m) units each group sums and each unit's group.
+        self.members, self.group_of = ((groups, groups[:, 0]) if self.grouped
+                                       else (layout.members, layout.group_of))
         self.layout = layout
         self.powers = (scene.tx_power_w, scene.noise_power_w)
         self.num_states = table.num_states
@@ -209,9 +211,18 @@ class _UnitProblem:
         self.evaluations = 0
         self.degenerate_evaluations = 0
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(U, P, R, K, Nt) rows of the units in each state: each group's
+        state table, or each element's products."""
+        if self.grouped:
+            return _state_tables(self.geometry, self.coefficients, self.fading)
+        return _products(self.geometry, self.coefficients, self.fading,
+                         np.arange(self.geometry.num_elements)[None])[0]
+
     def partials(self, unit_states: np.ndarray) -> np.ndarray:
         """(G, B, R, K, Nt) group partials for (B, units) candidate states."""
-        return _gather(self.rows(), self.members, unit_states[:, self.members])
+        return _gather(self.rows, self.members, unit_states[:, self.members])
 
     def flips(self, states: np.ndarray, units: np.ndarray,
               new_states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,15 +232,17 @@ class _UnitProblem:
         members = self.members[groups]  # (B, m)
         member_states = states[members]
         member_states[members == units[:, None]] = new_states
-        return groups, _gather(self.rows(), members, member_states[None])[:, 0]
+        return groups, _gather(self.rows, members, member_states[None])[:, 0]
 
     def score(self, partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(B,) objectives and degenerate flags of the candidates with
         (G, B, R, K, Nt) group partials; :meth:`count` tallies them."""
-        return self.score_channels(self.kernel.channels(partials))
+        return self.score_channels(ordered_sum(partials))
 
     def score_channels(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`score` of the candidates' (B, R, K, Nt) channels."""
+        """:meth:`score` of (B, R, K, Nt) group sums; adds the direct path last."""
+        if self.direct is not None:
+            H = H + self.direct
         if H.shape[1] == 1:  # as evaluate_rates; a unit axis slows ZF's many small calls
             _, total, degenerate = _zero_forcing(H[:, 0], *self.powers)
             return total, degenerate
@@ -241,7 +254,7 @@ class _UnitProblem:
     def block_depth(self) -> int:
         """The largest L whose P^L candidates fit one ``PASS_ENTRIES`` pass:
         their channels (group granularity) or group partials (element)."""
-        size = self.kernel.channel_size * (1 if self.grouped else len(self.kernel.members))
+        size = self.channel_size * (1 if self.grouped else len(self.geometry.members))
         depth = 0
         while depth < self.num_units and self.num_states ** (depth + 1) * size <= PASS_ENTRIES:
             depth += 1
@@ -257,14 +270,17 @@ class _UnitProblem:
         """:meth:`score` of the P^L candidates from lexicographic index
         ``start``, a multiple of P^L: every state of the last L =
         :attr:`block_depth` units under the prefix of ``start``.  At group
-        granularity their channels are expanded from the prefix's group sum
-        (``ChannelKernel.product_channels``); at element granularity the
-        indices are decoded and their partials gathered."""
+        granularity the prefix's group sum is made once, then expanded one
+        group at a time, with the bits of the plain ordered group sum; at
+        element granularity the indices are decoded and partials gathered."""
         depth, digits = self.block_depth, self.digits
         if self.grouped:
             prefix = (start // digits[:self.num_units - depth] % self.num_states)[:, None]
             free = [slice(None)] * depth  # every state, as a view of the group's table
-            H = self.kernel.product_channels(self.rows(), [*prefix, *free])
+            tables, choices = self.rows, [*prefix, *free]
+            H = tables[0, choices[0]]
+            for table, states in zip(tables[1:], choices[1:]):
+                H = (H[:, None] + table[states][None]).reshape(-1, *tables.shape[2:])
             return self.score_channels(H)
         candidates = np.arange(start, start + self.num_states ** depth)[:, None]
         return self.score(self.partials(candidates // digits % self.num_states))
@@ -273,10 +289,10 @@ class _UnitProblem:
         """:meth:`score_block` of the whole space, which fits one block;
         without fading, kept read-only for exhaustive and greedy search of
         the same scene, never for ``sum_rate``."""
-        if self.kernel.fading:
+        if self.fading:
             return self.score_block(0)
-        spaces = _SCORED.setdefault(self.kernel.geometry, {})
-        key = (self.kernel.coefficients.tobytes(), self.grouped)
+        spaces = _SCORED.setdefault(self.geometry, {})
+        key = (self.coefficients.tobytes(), self.grouped)
         scored = spaces.get(key)
         if scored is None:
             scored = spaces[key] = self.score_block(0)
@@ -321,8 +337,8 @@ def _greedy_sweeps(problem: _UnitProblem, max_sweeps: int) -> OptimizationOutcom
     partials = problem.partials(states[None])  # (G, 1, R, K, Nt)
     values, degenerate = problem.score(partials)
     problem.count(degenerate)
-    limit = max(1, PASS_ENTRIES // (max(width, 1) * problem.kernel.members.shape[1]
-                                    * problem.kernel.channel_size))
+    limit = max(1, PASS_ENTRIES // (max(width, 1) * problem.geometry.members.shape[1]
+                                    * problem.channel_size))
     columns = np.arange(min(limit, problem.num_units) * width)
     current = float(values[0])
     trace = [(0, current)]

@@ -9,7 +9,7 @@ where g is the free-space amplitude gain and Gamma_m the element coefficient
 toward the user's side.  Geometry-only factors are built once per (scene,
 layout) pair, keyed by object identity (:func:`channel_geometry`): the cache
 holds scenes and layouts weakly and hands every caller the same read-only
-:class:`ChannelGeometry`.  :class:`ChannelKernel` assembles the matrix for
+:class:`ChannelGeometry`.  :func:`_products` builds the matrix's terms for
 one configuration or a batch of them with identical arithmetic.
 
 Link gains: ``sum_rate``, the optimizers and ``coverage_map`` use the
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from functools import cached_property
 
 import numpy as np
 
@@ -348,8 +347,8 @@ def draw_realizations(model: FadingModel, geometry: ChannelGeometry,
     return out
 
 
-PASS_ENTRIES = 2 ** 13    # products per pass of _gather and ChannelKernel.state_tables
-TABLE_REALIZATIONS = 4    # realizations per pass in ChannelKernel.state_tables
+PASS_ENTRIES = 2 ** 13    # products per pass of _gather and _state_tables
+TABLE_REALIZATIONS = 4    # realizations per pass in _state_tables
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -381,79 +380,61 @@ def _gather(rows: np.ndarray, members: np.ndarray, states: np.ndarray) -> np.nda
     return ordered_sum(np.take(rows.reshape(-1, *rows.shape[2:]), index, axis=0))
 
 
-class ChannelKernel:
-    """Cascaded channels of a batch of configurations: the one assembly path.
+def _direct(geometry: ChannelGeometry, fading) -> np.ndarray | None:
+    """The direct path under each realization of ``fading``: (R, K, Nt), or
+    the geometry's own (K, Nt) path without fading, or None without one.
 
-    A group's partial channel is the :func:`ordered_sum` of
-    ``(Gamma_m * g2_m) * g1_m`` over its elements in index order; the channel
-    is the ordered sum of the partials in group order, plus the direct path.
-    Every step is elementwise, so a channel is bitwise the same in any batch.
-    Arrays have the candidate axis first and one axis per fading realization
-    after it: channels are (B, R, K, Nt), with R = 1 when ``fading`` is empty.
+    Every realization meets the geometry here, and must hold (Nt, M) and
+    (K, M) factors plus a (K, Nt) direct factor exactly when the geometry
+    has a direct path: numpy would broadcast some other shapes silently.
     """
+    K, Nt, M = geometry.num_users, geometry.num_antennas, geometry.num_elements
+    wanted = ((Nt, M), (K, M), None if geometry.direct is None else (K, Nt))
+    for i, realization in enumerate(fading):
+        shapes = tuple(None if factor is None else np.shape(factor) for factor in (
+            realization.bs_to_element, realization.element_to_user, realization.direct))
+        if shapes != wanted:
+            raise ValidationError(f"fading realization {i} has factor shapes {shapes}, "
+                                  f"where this geometry needs {wanted}")
+    if geometry.direct is None or not fading:
+        return geometry.direct
+    # Both operands of a fading product carry the realization axis: numpy
+    # multiplies a lone entry broadcast to a higher rank with other last bits.
+    return geometry.direct[None] * np.stack([r.direct for r in fading])
 
-    def __init__(self, geometry: ChannelGeometry, coefficient_matrix: np.ndarray,
-                 fading=()):
-        self.geometry = geometry
-        self.fading = fading
-        self.members = geometry.members
-        self.coefficients = coefficient_matrix
-        self.direct = geometry.direct
-        # Both operands of a fading product carry the realization axis: numpy
-        # multiplies a lone entry broadcast to a higher rank with other last bits.
-        if self.direct is not None and fading and fading[0].direct is not None:
-            self.direct = self.direct[None] * np.stack([r.direct for r in fading])
-        self.channel_size = geometry.num_users * geometry.num_antennas * max(1, len(fading))
 
-    def _products(self, idx: np.ndarray) -> np.ndarray:
-        """(m, g, P, R, K, Nt) products ``(Gamma[side_k, s] * g2) * g1`` of the
-        (m, g) elements ``idx`` in each state s; g2, g1 are faded gains."""
-        g1 = self.geometry.bs_to_element.T[idx][:, :, None]    # (m, g, 1, Nt)
-        g2 = self.geometry.element_to_user.T[idx][:, :, None]  # (m, g, 1, K)
-        if self.fading:
-            g1 = g1 * np.stack([r.bs_to_element for r in self.fading], axis=1).T[idx]
-            g2 = g2 * np.stack([r.element_to_user for r in self.fading], axis=1).T[idx]
-        gamma = self.coefficients[self.geometry.user_side_index].T[:, None]  # (P, 1, K)
-        # In C order, so ordered_sum need not copy the products or the table.
-        to_user = np.multiply(gamma, g2[:, :, None], order="C")
-        return to_user[..., None] * g1[:, :, None, :, None, :]
+def _products(geometry: ChannelGeometry, coefficients: np.ndarray, fading,
+              idx: np.ndarray) -> np.ndarray:
+    """(m, g, P, R, K, Nt) products ``(Gamma[side_k, s] * g2) * g1`` of the
+    (m, g) elements ``idx`` in each state s; g2, g1 are the gains under each
+    realization of ``fading`` (R = 1 without fading).  A group's partial is
+    the :func:`ordered_sum` of its elements' products in index order, the
+    channel that of the partials in group order plus :func:`_direct`: every
+    step is elementwise, so a channel is bitwise the same in any batch."""
+    g1 = geometry.bs_to_element.T[idx][:, :, None]    # (m, g, 1, Nt)
+    g2 = geometry.element_to_user.T[idx][:, :, None]  # (m, g, 1, K)
+    if fading:
+        g1 = g1 * np.stack([r.bs_to_element for r in fading], axis=1).T[idx]
+        g2 = g2 * np.stack([r.element_to_user for r in fading], axis=1).T[idx]
+    gamma = coefficients[geometry.user_side_index].T[:, None]  # (P, 1, K)
+    # In C order, so ordered_sum need not copy the products or the table.
+    to_user = np.multiply(gamma, g2[:, :, None], order="C")
+    return to_user[..., None] * g1[:, :, None, :, None, :]
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """(M, P, R, K, Nt) products: element e in state s."""
-        return self._products(np.arange(self.members.size)[None])[0]
 
-    @cached_property
-    def state_tables(self) -> np.ndarray:
-        """(G, P, R, K, Nt): each group's partial with all members in state
-        s.  Built a few realizations at a time to bound the temporaries."""
-        if len(self.fading) > TABLE_REALIZATIONS:
-            return np.concatenate([
-                ChannelKernel(self.geometry, self.coefficients,
-                              self.fading[i:i + TABLE_REALIZATIONS]).state_tables
-                for i in range(0, len(self.fading), TABLE_REALIZATIONS)], axis=2)
-        step = max(1, PASS_ENTRIES // (self.coefficients.shape[1] * self.members.shape[1]
-                                       * self.channel_size))
-        return np.concatenate([ordered_sum(self._products(self.members[g:g + step].T))
-                               for g in range(0, len(self.members), step)])
-
-    def product_channels(self, tables: np.ndarray, choices) -> np.ndarray:
-        """(B, R, K, Nt) channels of every candidate whose group g takes a state
-        in ``choices[g]`` (indices, or a slice of the states), in lexicographic
-        order (group 0 most significant), from the (G, P, R, K, Nt) ``tables``.
-
-        The channels of :meth:`channels`, bitwise: the ordered group sum is
-        expanded one group at a time, so each prefix's sum is made once.
-        """
-        H = tables[0, choices[0]]
-        for table, states in zip(tables[1:], choices[1:]):
-            H = (H[:, None] + table[states][None]).reshape(-1, *tables.shape[2:])
-        return H if self.direct is None else H + self.direct
-
-    def channels(self, partials: np.ndarray) -> np.ndarray:
-        """(B, R, K, Nt) channels from (G, B, R, K, Nt) group partials."""
-        H = ordered_sum(partials)
-        return H if self.direct is None else H + self.direct
+def _state_tables(geometry: ChannelGeometry, coefficients: np.ndarray, fading) -> np.ndarray:
+    """(G, P, R, K, Nt): each group's partial with all members in state s.
+    Built a few groups and realizations at a time to bound the temporaries."""
+    if len(fading) > TABLE_REALIZATIONS:
+        return np.concatenate([
+            _state_tables(geometry, coefficients, fading[i:i + TABLE_REALIZATIONS])
+            for i in range(0, len(fading), TABLE_REALIZATIONS)], axis=2)
+    members = geometry.members
+    channel_size = geometry.num_users * geometry.num_antennas * max(1, len(fading))
+    step = max(1, PASS_ENTRIES // (coefficients.shape[1] * members.shape[1] * channel_size))
+    return np.concatenate([ordered_sum(_products(geometry, coefficients, fading,
+                                                 members[g:g + step].T))
+                           for g in range(0, len(members), step)])
 
 
 def _configuration_channels(geometry: ChannelGeometry, table: StateTable,
@@ -461,9 +442,11 @@ def _configuration_channels(geometry: ChannelGeometry, table: StateTable,
     """(R, K, Nt) channels of ``config``, one per fading realization (R = 1
     without fading): the one checked path from a configuration to its channel."""
     config.validate_against(table, geometry)
-    kernel = ChannelKernel(geometry, table.coefficient_matrix, fading)
-    states = np.asarray(config.states)[kernel.members][None]  # (1, G, m)
-    return kernel.channels(_gather(kernel.table, kernel.members, states))[0]
+    members, direct = geometry.members, _direct(geometry, fading)
+    products = _products(geometry, table.coefficient_matrix, fading,
+                         np.arange(geometry.num_elements)[None])[0]  # (M, P, R, K, Nt)
+    H = ordered_sum(_gather(products, members, np.asarray(config.states)[members][None]))
+    return (H if direct is None else H + direct)[0]
 
 
 def assemble_channel(geometry: ChannelGeometry, table: StateTable,

@@ -103,6 +103,16 @@ def _write(path: str, data: str | bytes) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_outputs(args) -> None:
+    """Refuse each ``--out`` and ``--pgm`` whose directory is missing (or
+    not a directory) before any work, so no search runs only to fail its
+    write and no artifact is left beside one that cannot be written."""
+    for path in filter(None, (getattr(args, "out", None), getattr(args, "pgm", None))):
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise ValidationError(f"cannot write {path}: {directory} is not a directory")
+
+
 def cmd_simulate(args) -> int:
     fading = FadingModel(k_factor_db=args.k_factor_db)  # rejects NaN up front
     parsed = parse_scene(args.config)
@@ -327,6 +337,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except SearchSpaceError as exc:
         _emit_error("guard", exc)

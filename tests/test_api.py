@@ -27,6 +27,7 @@ from omnisim import (BeamformerResult, ChannelGeometry, CoefficientPair, Configu
 from omnisim.analysis import pattern_power
 from omnisim.channel import FadingRealization, draw_realizations
 from omnisim.elements import StateValidation, TableValidation
+from omnisim.errors import Record
 
 MAX_PUBLIC_NAMES = 50  # ROADMAP: the public API gets smaller, not larger
 
@@ -59,8 +60,7 @@ def definition(tree, name: str):
 def test_granularity_is_read_once():
     """``beamforming`` names ``Granularity.GROUP`` and ``ELEMENT`` only in
     ``_UnitProblem.__init__`` (and as the optimizers' defaults): the search
-    code reads units, and no method branches on the granularity again.  The
-    kernel has one gather, ``channel._gather``, and no ``*partials`` method."""
+    code reads units, and no method branches on the granularity again."""
     tree = source_tree("beamforming.py")
     init = definition(definition(tree, "_UnitProblem"), "__init__")
     allowed = {id(node) for node in ast.walk(init)}
@@ -70,9 +70,22 @@ def test_granularity_is_read_once():
                  if dotted(node) in ("Granularity.GROUP", "Granularity.ELEMENT")
                  and id(node) not in allowed]
     assert not offenders, f"granularity read outside _UnitProblem.__init__: {offenders}"
-    kernel = definition(source_tree("channel.py"), "ChannelKernel")
-    methods = [node.name for node in kernel.body if isinstance(node, ast.FunctionDef)]
-    assert not [name for name in methods if name.endswith("partials")], methods
+
+
+def test_channel_rows_have_no_kernel_object():
+    """Every class ``channel.py`` defines is an ``errors.Record`` and
+    ``beamforming.py`` reads no ``.kernel`` attribute: the search problem owns
+    its rows, built by ``channel``'s functions, with no object between them.
+    ``channel._gather`` is the one gather: no ``*partials`` function."""
+    tree = source_tree("channel.py")
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes and not [name for name in classes
+                            if not issubclass(getattr(omnisim.channel, name), Record)], classes
+    functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert not [name for name in functions if name.endswith("partials")], functions
+    reads = [f"beamforming.py:{node.lineno}" for node in ast.walk(source_tree("beamforming.py"))
+             if isinstance(node, ast.Attribute) and node.attr == "kernel"]
+    assert not reads, f".kernel read in beamforming: {reads}"
 
 
 def test_integer_checks_have_one_owner():

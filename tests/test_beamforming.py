@@ -10,7 +10,8 @@ from omnisim import (CoefficientPair, Configuration, FadingModel, Granularity,
                      channel_geometry, evaluate_rates, exhaustive_optimize,
                      greedy_optimize, random_baseline, relaxed_upper_bound,
                      statistical_optimize, sum_rate, zf_precoder)
-from omnisim.beamforming import CONDITION_LIMIT, _zero_forcing
+from omnisim.beamforming import CONDITION_LIMIT, _UnitProblem, _zero_forcing
+from omnisim.channel import FadingRealization, draw_realizations
 from omnisim.geometry import dot3
 
 
@@ -490,6 +491,32 @@ class TestScalingInvariance:
 
 
 class TestStatisticalOptimize:
+    @pytest.mark.parametrize("wrong", ["one antenna", "extra user", "half the elements",
+                                       "direct factor", "no direct factor"])
+    def test_a_realization_of_the_wrong_shape_is_refused(self, prototype, wrong):
+        """A realization must hold (Nt, M) and (K, M) factors, and a (K, Nt)
+        direct factor exactly when the scene has a direct path.  numpy would
+        broadcast a one-antenna draw on a two-antenna scene silently, and
+        fail on an extra user row or half the elements with its own errors;
+        each is refused by evaluate_rates and by the search problem."""
+        scene, layout = small_scene(units=4, seed=53, direct_path=wrong == "no direct factor")
+        geometry = channel_geometry(scene, layout)
+        drawn = draw_realizations(FadingModel(10.0), geometry, 0, 1)[0]
+        g1, g2, g0 = drawn.bs_to_element, drawn.element_to_user, drawn.direct
+        half = layout.num_elements // 2
+        bad = {"one antenna": (g1[:1], g2, g0),
+               "extra user": (g1, np.concatenate([g2, g2[:1]]), g0),
+               "half the elements": (g1[:, :half], g2[:, :half], g0),
+               "direct factor": (g1, g2, np.ones((scene.num_users, scene.num_antennas))),
+               "no direct factor": (g1, g2, None)}[wrong]
+        realization = FadingRealization(*bad)
+        table, config = prototype.table, Configuration.uniform(layout.num_elements, 0)
+        assert evaluate_rates(scene, layout, table, config, fading=drawn).sum_rate > 0
+        with pytest.raises(ValidationError, match="^fading realization 0 has factor shapes"):
+            evaluate_rates(scene, layout, table, config, fading=realization)
+        with pytest.raises(ValidationError, match="^fading realization 1 has factor shapes"):
+            _UnitProblem(scene, layout, table, Granularity.GROUP, [drawn, realization])
+
     def test_infinite_k_factor_matches_plain_greedy(self, prototype):
         scene, layout = small_scene(units=6, seed=41)
         table = prototype.table

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from omnisim import ValidationError, parse_scene_dict, prototype_scene_path
+from omnisim import ValidationError, beamforming, parse_scene_dict, prototype_scene_path
 from omnisim.cli import main
 
 
@@ -128,6 +129,22 @@ class TestUnwritableOutput:
         payload = json.loads(err)["error"]
         assert payload["type"] == "validation"
         assert payload["message"].startswith(f"cannot write {missing}: ")
+        # refused before any work: not even the writable CSV beside a missing PGM
+        assert [path.name for path in tmp_path.iterdir()] == ["scene.json"]
+
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_refused_before_the_search_runs(self, capsys, tmp_path, parent):
+        """An output whose parent is missing or is a file is refused before
+        the optimizer is called, so no search runs only to fail its write."""
+        (tmp_path / "file").write_text("")
+        report = tmp_path / parent / "r.json"
+        with mock.patch.object(beamforming, "exhaustive_optimize",
+                               side_effect=AssertionError("the search ran")) as search:
+            code, _, err = run_cli(capsys, "simulate", "--config", small_scene_file(tmp_path),
+                                   "--optimizer", "exhaustive", "--out", str(report))
+        assert code == 2 and not search.called
+        assert json.loads(err)["error"]["message"].startswith(f"cannot write {report}: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["file", "scene.json"]
 
 
 class TestSimulate:

@@ -24,7 +24,8 @@ from omnisim import (CoefficientPair, Configuration, ElementLayout, FadingModel,
                      relaxed_upper_bound, statistical_optimize, sum_rate)
 from omnisim import beamforming, channel
 from omnisim.beamforming import _UnitProblem
-from omnisim.channel import ChannelKernel, _gather, draw_realizations, ordered_sum
+from omnisim.channel import (_gather, _products, _state_tables, draw_realizations,
+                             ordered_sum)
 from omnisim.geometry import dot3
 
 
@@ -99,20 +100,21 @@ def sequential_greedy(problem, max_sweeps=10):
     return states, trace, counts[0], counts[1]
 
 
-def reference_partials(kernel, member_states, groups):
-    """The arithmetic the product table replaced: faded gains of every group,
-    sliced to ``groups``, and coefficients gathered per member state, then
-    ``(gamma * to_user)[..., None] * from_bs`` summed over the members."""
-    idx = kernel.members.T
-    g1 = kernel.geometry.bs_to_element[:, idx][None]    # (1, Nt, m, G)
-    g2 = kernel.geometry.element_to_user[:, idx][None]  # (1, K, m, G)
-    if kernel.fading:
-        g1 = g1 * np.stack([r.bs_to_element[:, idx] for r in kernel.fading])
-        g2 = g2 * np.stack([r.element_to_user[:, idx] for r in kernel.fading])
+def reference_partials(problem, member_states, groups):
+    """The arithmetic the product table replaced: ``problem``'s faded gains
+    of every group, sliced to ``groups``, and coefficients gathered per member
+    state, then ``(gamma * to_user)[..., None] * from_bs`` summed over the members."""
+    geometry, coefficients, fading = problem.geometry, problem.coefficients, problem.fading
+    idx = geometry.members.T
+    g1 = geometry.bs_to_element[:, idx][None]    # (1, Nt, m, G)
+    g2 = geometry.element_to_user[:, idx][None]  # (1, K, m, G)
+    if fading:
+        g1 = g1 * np.stack([r.bs_to_element[:, idx] for r in fading])
+        g2 = g2 * np.stack([r.element_to_user[:, idx] for r in fading])
     to_user = np.moveaxis(g2, (-2, -1), (0, 1))[:, groups, None]
     from_bs = np.moveaxis(g1, (-2, -1), (0, 1))[:, groups, None, :, None, :]
-    gamma = kernel.coefficients[kernel.geometry.user_side_index,
-                                member_states.T[..., None, None]]  # (m, g, B, 1, K)
+    gamma = coefficients[geometry.user_side_index,
+                         member_states.T[..., None, None]]  # (m, g, B, 1, K)
     return strict_fold((gamma * to_user)[..., None] * from_bs)
 
 
@@ -244,7 +246,9 @@ class TestProductTable:
         states) and from the state tables (each group one unit in one state),
         and the state tables themselves, have the bits of the arithmetic they
         replaced, with 0 realizations, 1, 3 and 5 (more than
-        TABLE_REALIZATIONS), in one pass and one group per pass.  The
+        TABLE_REALIZATIONS), in one pass and one group per pass.  The tables
+        are ``_UnitProblem.rows`` at element and group granularity, with the
+        bits of ``_products`` of every element and of ``_state_tables``.  The
         examples have one-element groups; with K = Nt = 1 every product is a
         single entry."""
         scene, layout, table = world
@@ -253,8 +257,8 @@ class TestProductTable:
         if num_samples:
             realizations = draw_realizations(FadingModel(6.0), geometry, seed % 1000,
                                              num_samples)
-        kernel = ChannelKernel(geometry, table.coefficient_matrix, realizations)
-        members = kernel.members
+        coefficients = table.coefficient_matrix
+        members = geometry.members
         gen = np.random.default_rng(seed)
         states = gen.integers(0, table.num_states, (size, layout.num_elements))
         start = int(gen.integers(0, len(members)))
@@ -266,16 +270,22 @@ class TestProductTable:
         every_state = np.broadcast_to(np.arange(table.num_states)[:, None, None],
                                       (table.num_states, *members.shape))
         with mock.patch.object(channel, "PASS_ENTRIES", pass_entries):
-            assert same_bits(_gather(kernel.table, members, states[:, members]),
-                             reference_partials(kernel, states[:, members], slice(None)))
-            assert same_bits(_gather(kernel.table, members[part], states[:, members[part]]),
-                             reference_partials(kernel, states[:, members[part]], part))
-            assert same_bits(_gather(kernel.table, members[groups], member_states),
-                             reference_partials(kernel, member_states, groups))
-            assert same_bits(kernel.state_tables,
-                             reference_partials(kernel, every_state, slice(None)))
-            assert same_bits(_gather(kernel.state_tables, units, group_states[:, units]),
-                             reference_partials(kernel, np.repeat(
+            problem = _UnitProblem(scene, layout, table, Granularity.ELEMENT, realizations)
+            element_rows = problem.rows
+            state_tables = _UnitProblem(scene, layout, table, Granularity.GROUP,
+                                        realizations).rows
+            assert same_bits(element_rows, _products(
+                geometry, coefficients, realizations, np.arange(layout.num_elements)[None])[0])
+            assert same_bits(state_tables, _state_tables(geometry, coefficients, realizations))
+            assert same_bits(_gather(element_rows, members, states[:, members]),
+                             reference_partials(problem, states[:, members], slice(None)))
+            assert same_bits(_gather(element_rows, members[part], states[:, members[part]]),
+                             reference_partials(problem, states[:, members[part]], part))
+            assert same_bits(_gather(element_rows, members[groups], member_states),
+                             reference_partials(problem, member_states, groups))
+            assert same_bits(state_tables, reference_partials(problem, every_state, slice(None)))
+            assert same_bits(_gather(state_tables, units, group_states[:, units]),
+                             reference_partials(problem, np.repeat(
                                  group_states[:, :, None], members.shape[1], axis=2),
                                  slice(None)))
 

@@ -32,8 +32,13 @@ the CLI serializes outcomes and configurations into: ``oracle`` stdout and
 the ``simulate`` reports of greedy and exhaustive group search on the
 prototype, each run in a temporary directory on a copy of the scene named
 ``scene.json``, so the bytes do not depend on where the checkout is.  The
-total digest leaves both parts out, so it stays comparable with totals
-printed before they existed.
+part "faded direct" hashes statistical group search on the prototype with
+the direct path on and 6 samples, more than ``channel.TABLE_REALIZATIONS``,
+so the state tables are built in two slices of realizations, and the
+``evaluate_rates`` of its configuration under each of those realizations:
+the only part whose channels add a faded direct path.  The total digest
+leaves these three parts out, so it stays comparable with totals printed
+before they existed.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 import omnisim as om  # noqa: E402
+from omnisim.channel import draw_realizations  # noqa: E402
 from omnisim.cli import main as cli_main  # noqa: E402
 from oracle_scenes import oracle_scenes  # noqa: E402
 
@@ -63,8 +69,9 @@ ORACLE_SEEDS = (1, 2, 3, 4)
 ORACLE_SCENES = 60  # per seed, as one benchmark round
 ORACLE_FADING_SAMPLES = 3  # statistical search on the scenes of the first seed
 SNR_POINTS = 10    # per scene of the field part
+FADED_DIRECT_SAMPLES = 6  # above TABLE_REALIZATIONS, so the state tables split
 PARTS = ("prototype searches", "oracle searches", "oracle bounds", "oracle statistical",
-         "prototype field", "CLI outputs")
+         "prototype field", "CLI outputs", "faded direct")
 
 
 def outcome_text(outcome) -> str:
@@ -183,6 +190,26 @@ def cli_lines():
         yield None, {"CLI outputs": f"{name} {hashlib.sha256(data).hexdigest()}"}
 
 
+def faded_direct_lines():
+    """Lines of the "faded direct" part, which the total leaves out."""
+    parsed = om.parse_scene(om.prototype_scene_path())
+    document = copy.deepcopy(parsed.raw)
+    document["options"].update(direct_path=True)
+    scene, table = om.parse_scene_dict(document).scene, parsed.table
+    layout = om.build_layout(parsed.panel)
+    fading = om.FadingModel(k_factor_db=K_FACTOR_DB)
+    outcome = om.statistical_optimize(scene, layout, table, fading,
+                                      num_samples=FADED_DIRECT_SAMPLES, seed=SEED,
+                                      granularity=om.Granularity.GROUP)
+    yield None, {"faded direct": f"statistical group {outcome_text(outcome)}"}
+    realizations = draw_realizations(fading, om.channel_geometry(scene, layout), SEED,
+                                     FADED_DIRECT_SAMPLES)
+    for i, realization in enumerate(realizations):
+        rates = om.evaluate_rates(scene, layout, table, outcome.config, fading=realization)
+        yield None, {"faded direct": f"evaluate_rates {i} {rates.sum_rate!r} "
+                                    f"{rates.per_user_rate.tolist()!r} {rates.degenerate!r}"}
+
+
 def main() -> None:
     """The total hashes every line as it always has, so its digest stays
     comparable across versions of this script; each part hashes its own, and
@@ -190,7 +217,7 @@ def main() -> None:
     total = hashlib.sha256()
     parts = {name: hashlib.sha256() for name in PARTS}
     for line, part_lines in (*prototype_lines(), *oracle_lines(), *field_lines(),
-                             *cli_lines()):
+                             *cli_lines(), *faded_direct_lines()):
         if line is not None:
             total.update(line.encode() + b"\n")
         for name, part_line in part_lines.items():
